@@ -1,10 +1,11 @@
 """Wall-clock comparison of the composition generators.
 
-Timing runs use the uninstrumented generators with a checksum consumer (a
-wrapping 64-bit sum over all visited parts) so the work stays observable
-but nothing is printed.  Measured ratios depend heavily on the interpreter
-and the machine; they are reported, never asserted.  The theoretical r1/r2
-columns from `analysis` ride along in the CSV for comparison.
+Timing runs use the uninstrumented generators with a checksum consumer (an
+order-sensitive 64-bit rolling hash of the visited compositions) so the
+work stays observable but nothing is printed.  Measured ratios depend
+heavily on the interpreter and the machine; they are reported, never
+asserted.  The theoretical r1/r2 columns from `analysis` ride along in the
+CSV for comparison.
 
 Protocol: one untimed warmup run, then ``reps`` timed runs per algorithm,
 single-threaded.  r(n) = t1 / t2 where t1 is gen_v3's mean time and t2 is
@@ -26,16 +27,25 @@ from .generate import gen_v1, gen_v2, gen_v3
 
 _ALGS = {"v1": gen_v1, "v2": gen_v2, "v3": gen_v3}
 _MASK = (1 << 64) - 1
+_BASE = 1_000_003
 
 
 class _Checksum:
+    """Rolling hash of the stream: value = value * _BASE + hash(parts), mod 2**64.
+
+    Each composition enters as the hash of its tuple of parts, which mixes
+    the parts in order and then the length, so the value depends on the
+    order of compositions, the order of parts within one and where one ends.
+    Int and tuple hashes are not randomized, so the value repeats across runs.
+    """
+
     __slots__ = ("value",)
 
     def __init__(self):
         self.value = 0
 
     def __call__(self, a, length):
-        self.value = (self.value + sum(islice(a, 1, length + 1))) & _MASK
+        self.value = (self.value * _BASE + hash(tuple(islice(a, 1, length + 1)))) & _MASK
 
 
 @dataclass(frozen=True)

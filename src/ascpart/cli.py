@@ -16,6 +16,7 @@ is plain ASCII text or CSV.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import nullcontext
 
@@ -23,7 +24,7 @@ from .analysis import ratio_table, verify_v2_counts, verify_v3_counts, write_rat
 from .bench import bench_table, write_bench_csv
 from .counting import CountContext
 from .errors import AscpartError
-from .generate import ALGORITHMS
+from .generate import ALGORITHMS, CHUNK_LINES, render_v3
 from .oracle import ORACLE_CAP, brute_compositions
 from .ptree import MATERIALIZE_CAP, build_partition_tree, build_strict_tree, to_dot
 
@@ -49,27 +50,39 @@ def _cmd_count(args):
 
 
 def _cmd_generate(args):
-    out = sys.stdout
-    limit = args.limit
-    emitted = 0
+    write = sys.stdout.write
+    left = args.limit  # lines still to print; None prints all
 
-    if args.descending:
-        def consumer(a, length):
-            nonlocal emitted
-            out.write(" ".join(map(str, a[length:0:-1])) + "\n")
-            emitted += 1
-            if limit is not None and emitted >= limit:
+    def flush(lines):
+        """One write per chunk; raises _LimitReached once --limit lines are out."""
+        nonlocal left
+        if left is not None:
+            if len(lines) >= left:
+                write("".join(lines[:left]))
                 raise _LimitReached
-    else:
-        def consumer(a, length):
-            nonlocal emitted
-            out.write(" ".join(map(str, a[1:length + 1])) + "\n")
-            emitted += 1
-            if limit is not None and emitted >= limit:
-                raise _LimitReached
+            left -= len(lines)
+        write("".join(lines))
 
     try:
-        ALGORITHMS[args.alg](args.n, consumer)
+        if args.alg == 3:
+            for lines in render_v3(args.n, args.descending):
+                flush(lines)
+        else:
+            s = [str(i) for i in range(args.n + 1)]
+            descending = args.descending
+            lines = []
+
+            def consumer(a, length):
+                parts = a[length:0:-1] if descending else a[1:length + 1]
+                lines.append(" ".join([s[v] for v in parts]) + "\n")
+                # flushing at the limit's last line stops the generator there
+                if len(lines) >= CHUNK_LINES or len(lines) == left:
+                    flush(lines)
+                    lines.clear()
+
+            ALGORITHMS[args.alg](args.n, consumer)
+            if lines:
+                flush(lines)
     except _LimitReached:
         pass
     return 0
@@ -225,6 +238,13 @@ def _nonnegative(text):
     return value
 
 
+def _max_n(text):
+    value = int(text)
+    if value < 2:  # below 2 the operation-count sweep 2 <= n <= max_n is empty
+        raise argparse.ArgumentTypeError(f"must be >= 2, got {value}")
+    return value
+
+
 def _int_list(text):
     try:
         values = [int(part) for part in text.split(",") if part != ""]
@@ -257,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("verify", help="run the self-verification battery")
-    p.add_argument("--max-n", type=int, default=60)
+    p.add_argument("--max-n", type=_max_n, default=60)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("tree", help="emit a tree as DOT")
@@ -284,10 +304,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except AscpartError as exc:
         parser.error(str(exc))  # exits 2
         return 2  # unreachable; keeps type checkers content
+    except BrokenPipeError:
+        # The reader closed early, as ``ascpart generate 60 | head -1`` does;
+        # that is not a failure.  Send what is still buffered to devnull, so
+        # the interpreter's final flush cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":

@@ -30,6 +30,7 @@ reduction path is checked to be nonnegative.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 from .errors import CapacityError, DomainError
@@ -49,9 +50,11 @@ def _validate_nmt(n, m, t, cap):
 class CountContext:
     """Memoized partition-count tables, one triangular table per ratio factor.
 
-    A context is single-writer: tables grow monotonically as queries demand
-    and entries are never rewritten, so concurrent readers are safe once the
-    values they touch exist.
+    A context may be shared between threads.  Tables grow monotonically as
+    queries demand, one complete row at a time, and entries are never
+    rewritten.  Missing rows are built under a lock, so concurrent queries
+    never build a row twice; a query whose rows exist reads them without
+    taking the lock.
     """
 
     def __init__(self, cap: int = DEFAULT_CAP):
@@ -60,22 +63,28 @@ class CountContext:
         self.cap = cap
         # _tables[t][n][m-1] = count(t, n, m) for 1 <= m <= n // (t + 1)
         self._tables: dict[int, list[list[int]]] = {}
+        self._lock = threading.Lock()
 
     def _fill(self, t, n):
-        tbl = self._tables.setdefault(t, [[]])  # n = 0 row has no stored entries
-        for np in range(len(tbl), n + 1):
-            q = np // (t + 1)
-            row = [0] * q
-            for mp in range(q, 0, -1):
-                rem = np - mp
-                if mp > rem // (t + 1):
-                    left = 1  # rem >= t*mp >= mp here, so the base value is 1
-                else:
-                    left = tbl[rem][mp - 1]
-                right = row[mp] if mp < q else 1
-                row[mp - 1] = left + right
-            tbl.append(row)
-        return tbl
+        tbl = self._tables.get(t)
+        if tbl is not None and len(tbl) > n:
+            return tbl
+        with self._lock:
+            tbl = self._tables.setdefault(t, [[]])  # n = 0 row has no stored entries
+            # len(tbl) is read under the lock: another thread may have filled rows
+            for np in range(len(tbl), n + 1):
+                q = np // (t + 1)
+                row = [0] * q
+                for mp in range(q, 0, -1):
+                    rem = np - mp
+                    if mp > rem // (t + 1):
+                        left = 1  # rem >= t*mp >= mp here, so the base value is 1
+                    else:
+                        left = tbl[rem][mp - 1]
+                    right = row[mp] if mp < q else 1
+                    row[mp - 1] = left + right
+                tbl.append(row)
+            return tbl
 
     def ratio_restricted_count(self, n: int, m: int, t: int) -> int:
         """Partitions of n with parts >= m and largest part >= t * second largest."""

@@ -20,6 +20,9 @@ that read defined (the loop then exits).
   and one visit per composition beyond the descent work.
 * `gen_v3` additionally walks compositions that differ only in their last
   two parts without touching the descent loop at all.
+* `render_v3` is `gen_v3`'s loop emitting text lines instead of visits,
+  with the rendered prefix kept across the lines that share it; it is what
+  ``ascpart generate`` prints by default.
 
 `gen_v2_counted` / `gen_v3_counted` are the same algorithms with operation
 tallies; their assignment and boolean-evaluation counts are exact functions
@@ -36,6 +39,10 @@ from .errors import CapacityError, DomainError
 # Collector guard: materializing all compositions is for tests and small
 # demos only (p(45) = 89134 already).
 COLLECT_CAP = 45
+
+# Lines per list from `render_v3`: enough to make per-chunk costs vanish,
+# few enough that a chunk stays small beside the interpreter's own memory.
+CHUNK_LINES = 256
 
 
 def _check_n(n, lo=1):
@@ -162,6 +169,91 @@ def gen_v3(n: int, consumer) -> int:
         k -= 1
         x = a[k] + 1
     return count
+
+
+def render_v3(n: int, descending: bool = False):
+    """`gen_v3`'s compositions of n as text, yielded as lists of lines.
+
+    Each line is one composition: its parts in ascending order (largest
+    first with ``descending``), separated by single spaces, ending in a
+    newline.  A list is handed over once it holds at least `CHUNK_LINES`
+    lines; the last one may be shorter.
+
+    The loop is `gen_v3`'s.  The text of a_1..a_{k-1} is the same for
+    every line emitted at depth k, so it is kept rendered in ``text``:
+    the descent loop appends a part, and backtracking cuts ``text`` back to
+    its length at the new depth.  A line is then that text plus one to
+    three lookups in per-part string tables.  For the descending order
+    ``text`` holds the suffix of the line, character-reversed, so that it
+    too grows by appending; it is reversed once per pass of the outer
+    loop.  Holding one string, not one per depth, keeps memory linear in n.
+    """
+    _check_n(n)
+    s = [str(i) for i in range(n + 1)]
+    sp = [v + " " for v in s]
+    nl = [v + "\n" for v in s]
+    tok = [v[::-1] + " " for v in s] if descending else sp
+    text = "\n" if descending else ""
+    ends = [len(text)] * (n + 2)  # ends[k]: len(text) at depth k
+    a = [0] * (n + 3)  # only the descent's parts are stored: backtracking reads them
+    k = 1
+    x = 1
+    y = n - 1
+    lines = []
+    emit = lines.append
+    while k > 0:
+        while 3 * x <= y:
+            a[k] = x
+            text += tok[x]
+            y -= x
+            k += 1
+            ends[k] = len(text)
+        if descending:
+            r = text[::-1]
+            while 2 * x <= y:
+                tail = " " + s[x] + r
+                p = x
+                q = y - x
+                while p <= q:
+                    emit(sp[q] + s[p] + tail)
+                    p += 1
+                    q -= 1
+                emit(s[y] + tail)
+                x += 1
+                y -= 1
+            while x <= y:
+                emit(sp[y] + s[x] + r)
+                x += 1
+                y -= 1
+            y += x - 1
+            emit(s[y + 1] + r)
+        else:
+            while 2 * x <= y:
+                head = text + sp[x]
+                p = x
+                q = y - x
+                while p <= q:
+                    emit(head + sp[p] + nl[q])
+                    p += 1
+                    q -= 1
+                emit(head + nl[y])
+                x += 1
+                y -= 1
+            while x <= y:
+                emit(text + sp[x] + nl[y])
+                x += 1
+                y -= 1
+            y += x - 1
+            emit(text + nl[y + 1])
+        k -= 1
+        x = a[k] + 1
+        text = text[:ends[k]]
+        if len(lines) >= CHUNK_LINES:
+            yield lines
+            lines = []
+            emit = lines.append
+    if lines:
+        yield lines
 
 
 def gen_v2_counted(n: int, consumer=None) -> OpCounters:

@@ -6,6 +6,7 @@ from statistics import mean, median
 import pytest
 
 from ascpart import DomainError, bench_table, r1_exact, r2_exact, time_algorithm, write_bench_csv
+from ascpart.bench import _Checksum
 
 
 def test_record_shape():
@@ -22,6 +23,18 @@ def test_checksums_agree_across_algorithms():
     recs = [time_algorithm(20, alg, 1) for alg in ("v1", "v2", "v3")]
     assert len({rec.checksum for rec in recs}) == 1
     assert recs[0].checksum > 0
+
+
+def test_checksum_is_order_sensitive():
+    def checksum(stream):
+        acc = _Checksum()
+        for parts in stream:
+            acc([0, *parts], len(parts))
+        return acc.value
+
+    stream = [(1, 1, 2), (1, 3), (2, 2)]
+    assert checksum(stream) != checksum([(1, 3), (1, 1, 2), (2, 2)])
+    assert checksum(stream) != checksum([(1, 2, 1), (1, 3), (2, 2)])
 
 
 def test_checksum_stable_across_runs():

@@ -1,8 +1,16 @@
 """CLI integration: output, line protocols, exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import ascpart
+from ascpart import ALGORITHMS, gen_v3
 from ascpart.cli import main
+from ascpart.generate import CHUNK_LINES, render_v3
 
 
 def run(capsys, *argv):
@@ -62,6 +70,86 @@ def test_generate_line_count_is_partition_count(capsys, ctx, alg):
         assert len(out.splitlines()) == ctx.partition_count(n)
 
 
+def reference_lines(n, descending):
+    """gen_v3's stream rendered the plain way: one join per visit."""
+    lines = []
+
+    def consumer(a, length):
+        parts = a[length:0:-1] if descending else a[1:length + 1]
+        lines.append(" ".join(map(str, parts)) + "\n")
+
+    gen_v3(n, consumer)
+    return lines
+
+
+@pytest.mark.parametrize("descending", [False, True])
+def test_generate_matches_reference_rendering(capsys, descending):
+    order = ["--descending"] if descending else []
+    for n in range(1, 46):
+        want = "".join(reference_lines(n, descending))
+        for alg in ALGORITHMS:
+            code, out = run(capsys, "generate", str(n), "--alg", str(alg), *order)
+            assert code == 0
+            assert out == want, (n, alg)
+
+
+@pytest.mark.parametrize("descending", [False, True])
+def test_generate_limit_at_chunk_boundaries(capsys, descending):
+    n = 45
+    order = ["--descending"] if descending else []
+    want = reference_lines(n, descending)
+    chunks = render_v3(n, descending)
+    first = len(next(chunks))
+    second = first + len(next(chunks))
+    assert first >= CHUNK_LINES
+    boundaries = {1: (CHUNK_LINES, 2 * CHUNK_LINES), 2: (CHUNK_LINES, 2 * CHUNK_LINES),
+                  3: (first, second)}
+    for alg, ends in boundaries.items():
+        for end in ends:
+            for limit in (end - 1, end, end + 1):
+                code, out = run(capsys, "generate", str(n), "--alg", str(alg),
+                                "--limit", str(limit), *order)
+                assert code == 0
+                assert out == "".join(want[:limit]), (alg, limit)
+
+
+def ascpart_command(*argv):
+    src = str(Path(ascpart.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return [sys.executable, "-m", "ascpart.cli", *argv], env
+
+
+@pytest.mark.parametrize("alg", [[], ["--alg", "1"]])
+def test_generate_limit_stops_the_generator(alg):
+    # p(200) is about 4e12: only a run that stops at the limit finishes
+    argv, env = ascpart_command("generate", "200", *alg, "--limit", "3")
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines() == [" ".join(["1"] * 200),
+                                        " ".join(["1"] * 198 + ["2"]),
+                                        " ".join(["1"] * 197 + ["3"])]
+
+
+@pytest.mark.parametrize("command, lines_read", [
+    (("generate", "60"), 1),
+    (("verify", "--max-n", "12"), 0),
+])
+def test_closed_reader_exits_zero_quietly(command, lines_read):
+    argv, env = ascpart_command(*command)
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        for _ in range(lines_read):
+            assert proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert err == b""
+    assert proc.returncode == 0
+
+
 def test_tree_to_file(tmp_path, capsys):
     path = tmp_path / "six.dot"
     code, _ = run(capsys, "tree", "6", "--kind", "partition", "--out", str(path))
@@ -116,6 +204,7 @@ def test_verify_passes(capsys):
     ("tree", "6"),
     ("bench", "--n", "ten"),
     ("nonsense",),
+    ("verify", "--max-n", "1"),
 ])
 def test_usage_errors_exit_two(argv):
     with pytest.raises(SystemExit) as err:

@@ -1,5 +1,8 @@
 """Counting module: worked values, boundary conventions, path agreement."""
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -144,6 +147,28 @@ def test_memo_reproducible(ctx):
     for args in ((37, 2, 2), (50, 1, 3), (24, 5, 1), (60, 3, 4)):
         assert fresh.ratio_restricted_count(*args) == ctx.ratio_restricted_count(*args)
     assert fresh.partition_count(200) == ctx.partition_count(200)
+
+
+def test_concurrent_queries_on_fresh_context():
+    want = CountContext().partition_count(1500)
+    ctx = CountContext()
+    got = [None] * 4
+
+    def query(i):
+        got[i] = ctx.partition_count(1500)
+
+    threads = [threading.Thread(target=query, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want] * 4
 
 
 def test_capacity_errors():
