@@ -12,9 +12,7 @@ from .analysis import (
     RatioScan,
     budget_violations,
     format_ratio,
-    r1,
     r1_exact,
-    r2,
     r2_exact,
     ratio_table,
     verify_v2_counts,
@@ -93,9 +91,7 @@ __all__ = [
     "inorder_v1",
     "inorder_v2",
     "iter_root_to_leaf_paths",
-    "r1",
     "r1_exact",
-    "r2",
     "r2_exact",
     "ratio_table",
     "strict_left_child",

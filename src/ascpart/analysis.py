@@ -49,14 +49,6 @@ def r2_exact(n: int, ctx: CountContext) -> Fraction:
     return Fraction(p + 4 * r, p + 3 * d)
 
 
-def r1(n: int, ctx: CountContext) -> float:
-    return float(r1_exact(n, ctx))
-
-
-def r2(n: int, ctx: CountContext) -> float:
-    return float(r2_exact(n, ctx))
-
-
 def format_ratio(value) -> str:
     """Render a ratio with exactly 5 decimals, ties to even."""
     if isinstance(value, Fraction):

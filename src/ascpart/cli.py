@@ -20,13 +20,13 @@ import os
 import sys
 from contextlib import nullcontext
 
-from .analysis import ratio_table, verify_v2_counts, verify_v3_counts, write_ratio_csv
+from .analysis import ratio_table, write_ratio_csv
 from .bench import bench_table, write_bench_csv
+from .checks import battery
 from .counting import CountContext
 from .errors import AscpartError
 from .generate import ALGORITHMS, CHUNK_LINES, render_v3
-from .oracle import ORACLE_CAP, brute_compositions
-from .ptree import MATERIALIZE_CAP, build_partition_tree, build_strict_tree, to_dot
+from .ptree import build_partition_tree, build_strict_tree, to_dot
 
 
 class _LimitReached(Exception):
@@ -34,7 +34,12 @@ class _LimitReached(Exception):
 
 
 def _open_out(path):
-    return open(path, "w", encoding="ascii") if path else nullcontext(sys.stdout)
+    if not path:
+        return nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="ascii")
+    except OSError as exc:
+        raise AscpartError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _cmd_count(args):
@@ -110,118 +115,16 @@ def _cmd_bench(args):
     return 0
 
 
-def _generation_mismatch(n):
-    """First (alg, index) where a generator diverges from the brute oracle."""
-    expected = brute_compositions(n)
-    for alg, fn in sorted(ALGORITHMS.items()):
-        seen = 0
-
-        def consumer(a, length, _n=n, _alg=alg):
-            nonlocal seen
-            if tuple(a[1:length + 1]) != expected[seen]:
-                raise _Mismatch(f"alg {_alg}, n={_n}, composition #{seen}")
-            seen += 1
-
-        fn(n, consumer)
-        if seen != len(expected):
-            return f"alg {alg}, n={n}: {seen} compositions, expected {len(expected)}"
-    return None
-
-
-class _Mismatch(Exception):
-    pass
-
-
 def _cmd_verify(args):
-    max_n = args.max_n
-    ctx = CountContext()
-    failures = 0
-
-    def report(name, ok, detail=""):
-        nonlocal failures
-        line = f"{'PASS' if ok else 'FAIL'} {name}"
-        if detail:
-            line += f": {detail}"
-        print(line)
-        if not ok:
-            failures += 1
-
-    # Worked examples with known exact values.
-    examples = [
-        (ctx.partition_count(5), 7, "p(5)"),
-        (ctx.ratio_restricted_count(15, 3, 2), 7, "double-ratio(15, 3)"),
-        (ctx.ratio_restricted_count(15, 3, 3), 3, "triple-ratio(15, 3)"),
-        (ctx.ratio_count(5, 2), 4, "double-ratio(5)"),
-        (ctx.ratio_count(5, 3), 3, "triple-ratio(5)"),
-    ]
-    bad = [f"{name}={got}, want {want}" for got, want, name in examples if got != want]
-    report("worked examples", not bad, "; ".join(bad))
-
-    # Generators against the brute-force oracle.
-    gen_max = min(max_n, ORACLE_CAP, 45)
-    detail = None
-    try:
-        for n in range(1, gen_max + 1):
-            detail = _generation_mismatch(n)
-            if detail:
-                break
-    except _Mismatch as exc:
-        detail = str(exc)
-    report(f"generation vs brute force (n <= {gen_max})", detail is None, detail or "")
-
-    # Counting paths agree wherever more than one is defined.
-    cross_max = min(max_n, 60)
-    bad = []
-    for n in range(1, cross_max + 1):
-        for t in (1, 2, 3, 4):
-            q = n // (t + 1)
-            for m in range(1, q + 1):
-                want = ctx.ratio_restricted_count(n, m, t)
-                if ctx.ratio_count_via_sum(n, m, t) != want:
-                    bad.append(f"sum path at ({n},{m},{t})")
-                if t > 1 and ctx.ratio_count_via_reduction(n, m, t) != want:
-                    bad.append(f"reduction path at ({n},{m},{t})")
-        if ctx.p2_closed(n) != ctx.ratio_count(n, 2):
-            bad.append(f"closed form t=2 at n={n}")
-        if ctx.p3_closed(n) != ctx.ratio_count(n, 3):
-            bad.append(f"closed form t=3 at n={n}")
-    report(f"counting cross-paths (n <= {cross_max})", not bad, "; ".join(bad[:3]))
-
-    # Instrumented generators match the predicted operation counts.
-    bad = []
-    for n in range(2, max_n + 1):
-        for check in (verify_v2_counts(n, ctx), verify_v3_counts(n, ctx)):
-            if not check.passed:
-                bad.append(f"{check.algorithm} at n={n}: "
-                           f"assignments {check.actual_assignments} vs "
-                           f"{check.expected_assignments}, bool evals "
-                           f"{check.actual_bool_evals} vs {check.expected_bool_evals}")
-    report(f"instrumented operation counts (2 <= n <= {max_n})", not bad, "; ".join(bad[:3]))
-
-    # Tree node/leaf counts.
-    tree_max = min(max_n, MATERIALIZE_CAP, 25)
-    bad = []
-    for n in range(1, tree_max + 1):
-        p = ctx.partition_count(n)
-        pt = build_partition_tree(n)
-        bt = build_strict_tree(n)
-        if (pt.node_count, pt.leaf_count) != (2 * p, p):
-            bad.append(f"partition tree of {n}")
-        if (bt.node_count, bt.leaf_count) != (2 * p - 1, p):
-            bad.append(f"binary tree of {n}")
-    report(f"tree identities (n <= {tree_max})", not bad, "; ".join(bad[:3]))
-
-    # Partition inequalities up to 1000.
-    ineq = ctx.check_inequalities(1000)
-    ok = ineq.ok and ineq.growth_equalities == [1, 2, 3, 4, 5, 6]
-    report("inequalities (n <= 1000)", ok,
-           "" if ok else f"violations {ineq.growth_violations[:3]} "
-                         f"{ineq.dominance_violations[:3]}, "
-                         f"equalities {ineq.growth_equalities[:8]}")
-
-    print(f"{'OK' if failures == 0 else 'FAILED'}: "
-          f"{6 - failures} of 6 check groups passed")
-    return 0 if failures == 0 else 1
+    passed = total = 0
+    for result in battery(CountContext(), args.max_n):
+        line = f"{'PASS' if result.ok else 'FAIL'} {result.name}"
+        print(f"{line}: {result.detail}" if result.detail else line)
+        passed += result.ok
+        total += 1
+    print(f"{'OK' if passed == total else 'FAILED'}: "
+          f"{passed} of {total} check groups passed")
+    return 0 if passed == total else 1
 
 
 def _positive(text):
@@ -252,6 +155,8 @@ def _int_list(text):
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
     if any(v < 1 for v in values):
         raise argparse.ArgumentTypeError("all n must be >= 1")
+    if not values:
+        raise argparse.ArgumentTypeError(f"no n given in {text!r}")
     return values
 
 

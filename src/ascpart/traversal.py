@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .counters import OpCounters
 from .errors import DomainError
-from .ptree import Node
+from .ptree import Node, strict_left_child, strict_right_child
 
 
 @dataclass(frozen=True)
@@ -66,15 +66,8 @@ class FormulaStrictTree:
     def has_left(handle):
         return handle[1] > 0
 
-    @staticmethod
-    def left(handle):
-        x, y = handle
-        return Node(x, y - x) if 2 * x <= y else Node(y, 0)
-
-    @staticmethod
-    def right(handle):
-        x, y = handle
-        return Node(x + 1, y - 1) if x + 2 <= y else Node(x + y, 0)
+    left = staticmethod(strict_left_child)
+    right = staticmethod(strict_right_child)
 
 
 def inorder_generic(tree, visit=None) -> TraversalStats:

@@ -1,0 +1,49 @@
+"""Each check of the verification battery fails on an injected defect."""
+
+from dataclasses import replace
+
+import pytest
+
+from ascpart import CountContext, checks
+
+
+def _result(change):
+    """A defect that passes the real function's result through ``change``."""
+    return lambda real: lambda *args: change(real(*args))
+
+
+def _stream(edit, extra=0):
+    """A defect in gen_v2: its stream edited by ``edit``, its count off by ``extra``."""
+    def defect(algorithms):
+        def gen(n, consumer):
+            seen = []
+            count = algorithms[2](n, lambda a, k: seen.append(a[:k + 1]))
+            for a in edit(seen):
+                consumer(a, len(a) - 1)
+            return count + extra
+        return {**algorithms, 2: gen}
+    return defect
+
+
+@pytest.mark.parametrize("check, n_max, target, name, defect", [
+    (checks.worked_examples, None, None, "ratio_count", _result(lambda v: v + 1)),
+    (checks.generation, 8, checks, "ALGORITHMS", _stream(lambda s: s[:-1])),
+    (checks.generation, 8, checks, "ALGORITHMS", _stream(lambda s: s[:1] + s[2:0:-1] + s[3:])),
+    (checks.generation, 8, checks, "ALGORITHMS", _stream(lambda s: s + s[-1:])),
+    (checks.generation, 8, checks, "ALGORITHMS", _stream(lambda s: s, extra=1)),
+    (checks.cross_paths, 8, None, "p2_closed", _result(lambda v: v + 1)),
+    (checks.op_counts, 8, checks, "verify_v3_counts",
+     _result(lambda c: replace(c, actual_assignments=c.actual_assignments + 1))),
+    (checks.trees, 8, checks, "build_strict_tree",  # the last node built is a leaf
+     _result(lambda t: replace(t, labels=t.labels[:-1], children=t.children[:-1]))),
+    (checks.inequalities, 100, None, "check_inequalities",
+     _result(lambda r: replace(r, dominance_violations=[7]))),
+], ids=["worked", "missing", "swapped", "extra", "miscounted", "closed-form", "op-counts",
+        "tree", "inequality"])
+def test_check_fails_on_defect(monkeypatch, check, n_max, target, name, defect):
+    ctx = CountContext()
+    assert check(ctx, n_max).ok
+    target = ctx if target is None else target
+    monkeypatch.setattr(target, name, defect(getattr(target, name)))
+    result = check(ctx, n_max)
+    assert not result.ok and result.detail

@@ -1,5 +1,6 @@
 """CLI integration: output, line protocols, exit codes."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import ascpart
+import ascpart.checks
 from ascpart import ALGORITHMS, gen_v3
 from ascpart.cli import main
 from ascpart.generate import CHUNK_LINES, render_v3
@@ -194,6 +196,17 @@ def test_verify_passes(capsys):
     assert out.splitlines()[-1].startswith("OK")
 
 
+def test_verify_reports_a_failing_group(capsys, monkeypatch):
+    real = ascpart.checks.verify_v3_counts
+    monkeypatch.setattr(ascpart.checks, "verify_v3_counts",
+                        lambda n, ctx: dataclasses.replace(real(n, ctx), actual_bool_evals=0))
+    code, out = run(capsys, "verify", "--max-n", "12")
+    lines = out.splitlines()
+    assert code == 1 and sum(line.startswith("PASS ") for line in lines) == 5
+    assert lines[3].startswith("FAIL instrumented operation counts (2 <= n <= 12): v3 at n=2: ")
+    assert lines[-1] == "FAILED: 5 of 6 check groups passed"
+
+
 @pytest.mark.parametrize("argv", [
     ("count",),
     ("count", "-5"),
@@ -205,8 +218,11 @@ def test_verify_passes(capsys):
     ("bench", "--n", "ten"),
     ("nonsense",),
     ("verify", "--max-n", "1"),
+    ("tree", "6", "--kind", "partition", "--out", "{missing}/x.dot"),
+    ("ratios", "--max-n", "20", "--out", "{missing}/r.csv"),
+    ("bench", "--n", ","),
 ])
-def test_usage_errors_exit_two(argv):
+def test_usage_errors_exit_two(argv, tmp_path):
     with pytest.raises(SystemExit) as err:
-        main(list(argv))
+        main([arg.format(missing=tmp_path / "missing") for arg in argv])
     assert err.value.code == 2

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ascpart import CapacityError, CountContext, DomainError
+from ascpart import CapacityError, CountContext, DomainError, checks
 from ascpart.oracle import brute_compositions, has_ratio_property
 
 # A000041, verified against the brute-force oracle below.
@@ -89,14 +89,8 @@ def test_reduction_worked_examples(ctx):
 
 
 def test_paths_agree_exhaustively(ctx):
-    for n in range(1, 41):
-        for t in (1, 2, 3, 4):
-            q = n // (t + 1)
-            for m in range(1, q + 1):
-                want = ctx.ratio_restricted_count(n, m, t)
-                assert ctx.ratio_count_via_sum(n, m, t) == want
-                if t > 1:
-                    assert ctx.ratio_count_via_reduction(n, m, t) == want
+    result = checks.cross_paths(ctx, 40)
+    assert result.ok, result.detail
 
 
 def test_closed_forms(ctx):
@@ -128,11 +122,8 @@ def test_double_ratio_monotone(ctx):
 
 
 def test_inequality_report(ctx):
-    report = ctx.check_inequalities(1000)
-    assert report.ok
-    assert report.growth_violations == []
-    assert report.dominance_violations == []
-    assert report.growth_equalities == [1, 2, 3, 4, 5, 6]
+    result = checks.inequalities(ctx, 1000)
+    assert result.ok, result.detail
 
 
 def test_growth_bound_examples(ctx):
