@@ -117,6 +117,7 @@ def ratio_table(n_max: int, ctx: CountContext) -> RatioScan:
     """Ratio records for 2 <= n <= n_max plus the argmin of each column."""
     if n_max < 2:
         raise DomainError(f"n_max must be >= 2, got {n_max}")
+    ctx.partition_count(n_max)  # one fill of the p column, not one per doubling
     records = []
     violations = []
     best1 = best2 = None

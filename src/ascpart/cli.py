@@ -29,6 +29,10 @@ from .generate import ALGORITHMS, CHUNK_LINES, render_v3
 from .ptree import build_partition_tree, build_strict_tree, to_dot
 
 
+# At a few hundred ns per visit, 10**9 visits is several minutes of bench.
+BENCH_MAX_VISITS = 10**9
+
+
 class _LimitReached(Exception):
     pass
 
@@ -109,7 +113,14 @@ def _cmd_ratios(args):
 
 
 def _cmd_bench(args):
-    rows = bench_table(args.n, args.reps)
+    ctx = CountContext()
+    # bench_table runs gen_v1 twice and gen_v2 and gen_v3 reps + 1 times each
+    visits = sum(ctx.partition_count(n) for n in args.n) * (2 * args.reps + 4)
+    if visits > BENCH_MAX_VISITS:
+        raise AscpartError(f"bench would visit {visits:.1e} compositions, more than "
+                           f"{BENCH_MAX_VISITS:.0e}; call ascpart.bench.bench_table "
+                           f"for larger runs")
+    rows = bench_table(args.n, args.reps, ctx)
     with _open_out(args.out) as fh:
         write_bench_csv(rows, fh)
     return 0

@@ -12,9 +12,9 @@ since a qualifying partition either uses the part ``m`` (strip one copy) or
 has every part >= m + 1, and a qualifying partition with two or more parts
 needs largest + second >= (t + 1) * smallest, so its smallest part is <= q.
 
-Everything else is a column or consequence of that table:
+Everything else is a special case or consequence of that recurrence:
 
-* ``p(n, m)`` -- partitions with parts >= m -- is the ``t = 1`` column, and
+* ``p(n, m)`` -- partitions with parts >= m -- is the ``t = 1`` case, and
   ``p(n) = p(n, 1)``.
 * a sum form: count(t, n, m) = 1 + sum of count(t, n - k, k) for k = m .. q;
 * a reduction step count(t, n, m) = count(t-1, n, m) - count(t-1, n - t, m),
@@ -22,16 +22,22 @@ Everything else is a column or consequence of that table:
 * closed forms per n: double-ratio = p(n) - p(n-2) and
   triple-ratio = p(n) - p(n-2) - p(n-3) + p(n-5), with p(k) = 0 for k < 0.
 
-Tables are filled bottom-up (no recursion), one triangular table per ``t``,
-and never mutated afterwards.  Values are plain Python ints, so arbitrary
-magnitudes stay exact; every subtraction along the closed forms and the
-reduction path is checked to be nonnegative.
+The recurrence is filled bottom-up (no recursion), one column per ``(t, m)``:
+the column holds count(t, k, m) for 0 <= k <= L and costs O(L) ints.  It is
+swept down from the column of ``m = L // (t + 1) + 1``, where only base
+cases occur, one ``m`` at a time, in place.  A column too short for a query
+is rebuilt, doubling its length up to the cap, and never mutated once
+cached.  The sum path reads one column per term, so at large n it costs one
+column fill per ``m``; it is a cross-check meant for n <= 60.  Values are
+plain Python ints, so arbitrary magnitudes stay exact; every subtraction
+along the closed forms and the reduction path is checked to be nonnegative.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from operator import add
 
 from .errors import CapacityError, DomainError
 
@@ -47,44 +53,55 @@ def _validate_nmt(n, m, t, cap):
         raise CapacityError(f"n={n} exceeds the configured cap {cap}")
 
 
-class CountContext:
-    """Memoized partition-count tables, one triangular table per ratio factor.
+def _fill_column(t, m, length):
+    """[count(t, k, m) for k in 0..length], for 1 <= m <= length // (t + 1).
 
-    A context may be shared between threads.  Tables grow monotonically as
-    queries demand, one complete row at a time, and entries are never
-    rewritten.  Missing rows are built under a lock, so concurrent queries
-    never build a row twice; a query whose rows exist reads them without
-    taking the lock.
+    Starts at ``top = length // (t + 1) + 1``, where count(t, k, top) is 1
+    for k >= top and 0 for 0 < k < top, and applies the recurrence for each
+    smaller m' in turn: col[m'] becomes 1, the single part, and col[k] gains
+    col[k - m'] for k >= (t + 1) * m'.  That update runs in blocks of m'
+    entries, each reading the block before it, which is already updated.
+    """
+    top = length // (t + 1) + 1
+    col = [1] + [0] * (top - 1) + [1] * (length + 1 - top)
+    for mp in range(top - 1, m - 1, -1):
+        col[mp] = 1
+        for b in range((t + 1) * mp, length + 1, mp):
+            e = b + mp
+            col[b:e] = map(add, col[b:e], col[b - mp:e - mp])
+    return col
+
+
+class CountContext:
+    """Memoized partition counts, one cached column per (ratio factor, minimum part).
+
+    A context may be shared between threads.  A column is built privately
+    under a lock and published with one dict assignment; a published column
+    is never mutated, only replaced by a longer one, so a query whose column
+    is long enough reads it without taking the lock.  A column grows to at
+    least twice its length (capped at ``cap``), so ascending queries rebuild
+    it O(log n) times; ask for the largest n first to build it once.
     """
 
     def __init__(self, cap: int = DEFAULT_CAP):
         if cap < 0:
             raise ValueError("cap must be nonnegative")
         self.cap = cap
-        # _tables[t][n][m-1] = count(t, n, m) for 1 <= m <= n // (t + 1)
-        self._tables: dict[int, list[list[int]]] = {}
+        # _columns[t, m][k] = count(t, k, m)
+        self._columns: dict[tuple[int, int], list[int]] = {}
         self._lock = threading.Lock()
 
-    def _fill(self, t, n):
-        tbl = self._tables.get(t)
-        if tbl is not None and len(tbl) > n:
-            return tbl
+    def _column(self, t, m, n):
+        col = self._columns.get((t, m))
+        if col is not None and len(col) > n:
+            return col
         with self._lock:
-            tbl = self._tables.setdefault(t, [[]])  # n = 0 row has no stored entries
-            # len(tbl) is read under the lock: another thread may have filled rows
-            for np in range(len(tbl), n + 1):
-                q = np // (t + 1)
-                row = [0] * q
-                for mp in range(q, 0, -1):
-                    rem = np - mp
-                    if mp > rem // (t + 1):
-                        left = 1  # rem >= t*mp >= mp here, so the base value is 1
-                    else:
-                        left = tbl[rem][mp - 1]
-                    right = row[mp] if mp < q else 1
-                    row[mp - 1] = left + right
-                tbl.append(row)
-            return tbl
+            # read again under the lock: another thread may have grown it
+            col = self._columns.get((t, m))
+            if col is None or len(col) <= n:
+                length = n if col is None else min(self.cap, max(n, 2 * (len(col) - 1)))
+                col = self._columns[t, m] = _fill_column(t, m, length)
+            return col
 
     def ratio_restricted_count(self, n: int, m: int, t: int) -> int:
         """Partitions of n with parts >= m and largest part >= t * second largest."""
@@ -95,7 +112,7 @@ class CountContext:
             return 0
         if m > n // (t + 1):
             return 1
-        return self._fill(t, n)[n][m - 1]
+        return self._column(t, m, n)[n]
 
     def ratio_count(self, n: int, t: int) -> int:
         """Partitions of n whose largest part is >= t times the second largest."""
@@ -177,6 +194,7 @@ class CountContext:
         """
         if n_max > self.cap:
             raise CapacityError(f"n_max={n_max} exceeds the configured cap {self.cap}")
+        self._p(n_max)  # one fill of the p column, not one per doubling
         growth_violations = []
         growth_equalities = []
         dominance_violations = []

@@ -2,13 +2,15 @@
 
 import sys
 import threading
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, rule
 
 from ascpart import CapacityError, CountContext, DomainError, checks
-from ascpart.oracle import brute_compositions, has_ratio_property
+from ascpart.oracle import brute_compositions, brute_ratio_count, has_ratio_property
 
 # A000041, verified against the brute-force oracle below.
 P_SMALL = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176,
@@ -29,6 +31,17 @@ def test_big_values_exact(ctx):
     assert ctx.partition_count(100) == 190569292
     assert ctx.partition_count(1000) == 24061467864032622473692149727991
     assert ctx.partition_count(1500) > 10 ** 39
+
+
+def test_values_at_the_cap(ctx):
+    # fills that end exactly at DEFAULT_CAP; p(5000) and the triple ratio from
+    # the pentagonal recurrence, p(5000, 7) from the earlier row-by-row table fill
+    assert ctx.partition_count(5000) == (
+        169820168825442121851975101689306431361757683049829233322203824652329144349)
+    assert ctx.ratio_count(5000, 3) == (
+        311979970879687292161119344116970547012907367565064585282875096108297166)
+    assert ctx.restricted_count(5000, 7) == (
+        3128745025549526492129102370901601328975714501963533222694682669234)
 
 
 def test_restricted_count_worked_values(ctx):
@@ -140,13 +153,20 @@ def test_memo_reproducible(ctx):
     assert fresh.partition_count(200) == ctx.partition_count(200)
 
 
-def test_concurrent_queries_on_fresh_context():
-    want = CountContext().partition_count(1500)
+@pytest.mark.parametrize("queries", [
+    [("partition_count", 1500)] * 4,
+    # different columns, and the p column grows from 700 to 1500 meanwhile
+    [("partition_count", 700), ("partition_count", 1500),
+     ("ratio_count", 1500, 3), ("restricted_count", 1500, 7)],
+], ids=["one-column", "growing-column"])
+def test_concurrent_queries_on_fresh_context(queries):
+    want = [getattr(CountContext(), name)(*args) for name, *args in queries]
     ctx = CountContext()
     got = [None] * 4
 
     def query(i):
-        got[i] = ctx.partition_count(1500)
+        name, *args = queries[i]
+        got[i] = getattr(ctx, name)(*args)
 
     threads = [threading.Thread(target=query, args=(i,)) for i in range(4)]
     interval = sys.getswitchinterval()
@@ -159,7 +179,7 @@ def test_concurrent_queries_on_fresh_context():
             assert not thread.is_alive()
     finally:
         sys.setswitchinterval(interval)
-    assert got == [want] * 4
+    assert got == want
 
 
 def test_capacity_errors():
@@ -198,3 +218,52 @@ def test_ratio_count_matches_brute_force(n, m, t):
     ctx = CountContext(cap=100)
     want = sum(1 for c in brute_compositions(n, m) if has_ratio_property(c, t))
     assert ctx.ratio_restricted_count(n, m, t) == want
+
+
+@lru_cache(maxsize=None)
+def _oracle_count(n, m, t):
+    return brute_ratio_count(n, m, t) if n else 1
+
+
+class QueryOrder(RuleBasedStateMachine):
+    """Queries in any order on one small-capped context answer as a fresh one.
+
+    The cap of 64 makes doubling columns stop short at the cap; answers for
+    n <= 28 are also checked against the brute-force oracle.
+    """
+
+    CAP = 64
+
+    def __init__(self):
+        super().__init__()
+        self.ctx = CountContext(cap=self.CAP)
+
+    def check(self, query, args, oracle_args):
+        got = getattr(self.ctx, query)(*args)
+        assert got == getattr(CountContext(cap=self.CAP), query)(*args)
+        if args[0] <= 28:
+            assert got == _oracle_count(*oracle_args)
+
+    @rule(n=st.integers(1, CAP), m=st.integers(1, 24), t=st.integers(1, 4))
+    def ratio_restricted_count(self, n, m, t):
+        self.check("ratio_restricted_count", (n, m, t), (n, m, t))
+
+    @rule(n=st.integers(0, CAP), m=st.integers(1, 24))
+    def restricted_count(self, n, m):
+        self.check("restricted_count", (n, m), (n, m, 1))
+
+    @rule(n=st.integers(0, CAP))
+    def partition_count(self, n):
+        self.check("partition_count", (n,), (n, 1, 1))
+
+    @rule(n=st.integers(1, CAP))
+    def p2_closed(self, n):
+        self.check("p2_closed", (n,), (n, 1, 2))
+
+    @rule(n=st.integers(1, CAP))
+    def p3_closed(self, n):
+        self.check("p3_closed", (n,), (n, 1, 3))
+
+
+TestQueryOrder = QueryOrder.TestCase
+TestQueryOrder.settings = settings(max_examples=60, stateful_step_count=25, deadline=None)
