@@ -29,7 +29,8 @@ from .generate import ALGORITHMS, CHUNK_LINES, render_v3
 from .ptree import build_partition_tree, build_strict_tree, to_dot
 
 
-# At a few hundred ns per visit, 10**9 visits is several minutes of bench.
+# At a few hundred ns per visit, 10**9 visits is several minutes of bench
+# or verify.
 BENCH_MAX_VISITS = 10**9
 
 
@@ -44,6 +45,12 @@ def _open_out(path):
         return open(path, "w", encoding="ascii")
     except OSError as exc:
         raise AscpartError(f"cannot write {path}: {exc.strerror}") from exc
+
+
+def _check_visits(command, visits, override):
+    if visits > BENCH_MAX_VISITS:
+        raise AscpartError(f"{command} would visit {visits:.1e} compositions, more than "
+                           f"{BENCH_MAX_VISITS:.0e}; call {override} for larger runs")
 
 
 def _cmd_count(args):
@@ -116,10 +123,7 @@ def _cmd_bench(args):
     ctx = CountContext()
     # bench_table runs gen_v1 twice and gen_v2 and gen_v3 reps + 1 times each
     visits = sum(ctx.partition_count(n) for n in args.n) * (2 * args.reps + 4)
-    if visits > BENCH_MAX_VISITS:
-        raise AscpartError(f"bench would visit {visits:.1e} compositions, more than "
-                           f"{BENCH_MAX_VISITS:.0e}; call ascpart.bench.bench_table "
-                           f"for larger runs")
+    _check_visits("bench", visits, "ascpart.bench.bench_table")
     rows = bench_table(args.n, args.reps, ctx)
     with _open_out(args.out) as fh:
         write_bench_csv(rows, fh)
@@ -127,8 +131,12 @@ def _cmd_bench(args):
 
 
 def _cmd_verify(args):
+    ctx = CountContext()
+    # the op-count check runs gen_v2_counted and gen_v3_counted for 2 <= n <= max_n
+    visits = 2 * sum(ctx.partition_count(n) for n in range(2, args.max_n + 1))
+    _check_visits("verify", visits, "ascpart.checks.battery")
     passed = total = 0
-    for result in battery(CountContext(), args.max_n):
+    for result in battery(ctx, args.max_n):
         line = f"{'PASS' if result.ok else 'FAIL'} {result.name}"
         print(f"{line}: {result.detail}" if result.detail else line)
         passed += result.ok

@@ -27,7 +27,10 @@ that read defined (the loop then exits).
 `gen_v2_counted` / `gen_v3_counted` are the same algorithms with operation
 tallies; their assignment and boolean-evaluation counts are exact functions
 of n (see `analysis`), which is what the instrumented variants exist to
-demonstrate.  The plain variants stay uninstrumented so timing runs are
+demonstrate.  Each of their loops counts its own passes, one addition per
+pass, and the tallies are built at return as each loop's passes times the
+lines one pass executes; the per-loop weights are tabled in their
+docstrings.  The plain variants stay uninstrumented so timing runs are
 undistorted.
 """
 
@@ -260,123 +263,117 @@ def gen_v2_counted(n: int, consumer=None) -> OpCounters:
     """`gen_v2` with exact operation tallies; requires n >= 2.
 
     Assignments count executed assignment lines including the three
-    initializations; bool_evals counts loop-condition evaluations.
+    initializations; bool_evals counts loop-condition evaluations.  Each
+    loop counts its own passes (O outer, D descent, I of ``x <= y``), and
+    the tallies are those passes times the lines one pass executes:
+
+    ============  ======================
+    assignments   3 + 5O + 3D + 4I
+    bool_evals    1 + 3O + D + I
+    visits        O + I
+    ============  ======================
     """
     _check_n(n, lo=2)
     a = [0] * (n + 3)
     k = 1
     x = 1
     y = n - 1
-    assigns = 3
-    bools = 0
-    visits = 0
-    bools += 1
+    outer = descent = inner = 0
     while k > 0:
-        bools += 1
+        outer += 1
         while 2 * x <= y:
+            descent += 1
             a[k] = x
             y -= x
             k += 1
-            assigns += 3
-            bools += 1
         t = k + 1
-        assigns += 1
-        bools += 1
         while x <= y:
+            inner += 1
             a[k] = x
             a[t] = y
             if consumer is not None:
                 consumer(a, t)
-            visits += 1
             x += 1
             y -= 1
-            assigns += 4
-            bools += 1
         y += x - 1
         a[k] = y + 1
         if consumer is not None:
             consumer(a, k)
-        visits += 1
         k -= 1
         x = a[k] + 1
-        assigns += 4
-        bools += 1
-    return OpCounters(assignments=assigns, bool_evals=bools, visits=visits)
+    return OpCounters(assignments=3 + 5 * outer + 3 * descent + 4 * inner,
+                      bool_evals=1 + 3 * outer + descent + inner,
+                      visits=outer + inner)
 
 
 def gen_v3_counted(n: int, consumer=None) -> OpCounters:
-    """`gen_v3` with exact operation tallies; requires n >= 2."""
+    """`gen_v3` with exact operation tallies; requires n >= 2.
+
+    Counted as in `gen_v2_counted`, with O outer and D descent passes, and
+    P, S and T passes of the ``2 * x <= y``, ``p <= q`` and final
+    ``x <= y`` loops:
+
+    ============  ======================================
+    assignments   3 + 6O + 3D + 8P + 4S + 4T
+    bool_evals    1 + 4O + D + 2P + S + T
+    visits        O + 2P + S + T
+    ============  ======================================
+    """
     _check_n(n, lo=2)
     a = [0] * (n + 3)
     k = 1
     x = 1
     y = n - 1
-    assigns = 3
-    bools = 0
-    visits = 0
-    bools += 1
+    outer = descent = pairs = shifts = tail = 0
     while k > 0:
-        bools += 1
+        outer += 1
         while 3 * x <= y:
+            descent += 1
             a[k] = x
             y -= x
             k += 1
-            assigns += 3
-            bools += 1
         t = k + 1
         u = k + 2
-        assigns += 2
-        bools += 1
         while 2 * x <= y:
+            pairs += 1
             a[k] = x
             a[t] = x
             a[u] = y - x
             if consumer is not None:
                 consumer(a, u)
-            visits += 1
             p = x + 1
             q = y - p
-            assigns += 5
-            bools += 1
             while p <= q:
+                shifts += 1
                 a[t] = p
                 a[u] = q
                 if consumer is not None:
                     consumer(a, u)
-                visits += 1
                 p += 1
                 q -= 1
-                assigns += 4
-                bools += 1
             a[t] = y
             if consumer is not None:
                 consumer(a, t)
-            visits += 1
             x += 1
             y -= 1
-            assigns += 3
-            bools += 1
-        bools += 1
         while x <= y:
+            tail += 1
             a[k] = x
             a[t] = y
             if consumer is not None:
                 consumer(a, t)
-            visits += 1
             x += 1
             y -= 1
-            assigns += 4
-            bools += 1
         y += x - 1
         a[k] = y + 1
         if consumer is not None:
             consumer(a, k)
-        visits += 1
         k -= 1
         x = a[k] + 1
-        assigns += 4
-        bools += 1
-    return OpCounters(assignments=assigns, bool_evals=bools, visits=visits)
+    return OpCounters(
+        assignments=3 + 6 * outer + 3 * descent + 8 * pairs + 4 * shifts + 4 * tail,
+        bool_evals=1 + 4 * outer + descent + 2 * pairs + shifts + tail,
+        visits=outer + 2 * pairs + shifts + tail)
 
 
 ALGORITHMS = {1: gen_v1, 2: gen_v2, 3: gen_v3}

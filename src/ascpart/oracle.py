@@ -2,8 +2,12 @@
 
 Enumerates ascending compositions by direct recursion (first part from the
 minimum upward, recurse on the remainder) and counts by filtering the
-materialized list.  No cleverness on purpose; capacity is guarded because
-the lists grow like p(n).
+materialized list.  The recursion only tries parts up to half of what
+remains, then ends the composition with the whole remainder: any other part
+above the half would leave a remainder smaller than itself, which no
+ascending continuation can fill, so those calls would all be dead ends.
+Otherwise no cleverness on purpose; capacity is guarded because the lists
+grow like p(n).
 """
 
 from __future__ import annotations
@@ -24,23 +28,23 @@ def _guard(n, m):
         raise CapacityError(f"n={n} exceeds the brute-force cap {ORACLE_CAP}")
 
 
+def _extend(out, parts, remaining, lo):
+    """Append ``parts + c`` for each ascending composition c of ``remaining``.
+
+    The parts of c are >= ``lo``, which must be <= ``remaining``; the c come
+    in lexicographic order.
+    """
+    for part in range(lo, remaining // 2 + 1):
+        _extend(out, parts + (part,), remaining - part, part)
+    out.append(parts + (remaining,))
+
+
 def brute_compositions(n: int, m: int = 1) -> list[tuple[int, ...]]:
     """All ascending compositions of n with parts >= m, in lexicographic order."""
     _guard(n, m)
     out = []
-    emit = out.append
-    parts = []
-
-    def rec(remaining, lo):
-        if remaining == 0:
-            emit(tuple(parts))
-            return
-        for part in range(lo, remaining + 1):
-            parts.append(part)
-            rec(remaining - part, part)
-            parts.pop()
-
-    rec(n, m)
+    if n >= m:
+        _extend(out, (), n, m)
     return out
 
 

@@ -222,6 +222,7 @@ def test_verify_reports_a_failing_group(capsys, monkeypatch):
     ("ratios", "--max-n", "20", "--out", "{missing}/r.csv"),
     ("bench", "--n", ","),
     ("bench", "--n", "130"),
+    ("verify", "--max-n", "200"),
 ])
 def test_usage_errors_exit_two(argv, tmp_path):
     with pytest.raises(SystemExit) as err:

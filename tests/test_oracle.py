@@ -1,4 +1,7 @@
-"""Brute-force reference: hand-checked lists and basic shape properties."""
+"""Brute-force reference: hand-checked lists, completeness and basic shape properties."""
+
+import gc
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +42,29 @@ def test_ratio_property_reads_largest_two_parts():
     assert has_ratio_property((3, 4, 8), 2)
     assert not has_ratio_property((3, 4, 8), 3)
     assert not has_ratio_property((2, 2), 2)
+
+
+def test_complete_against_cut_points():
+    """The ascending ones among all 2**(n-1) compositions of n, by first part."""
+    for n in range(1, 17):
+        compositions = [tuple(b - a for a, b in zip((0, *cuts), (*cuts, n)))
+                        for k in range(n) for cuts in combinations(range(1, n), k)]
+        assert len(compositions) == 2 ** (n - 1)
+        ascending = sorted(c for c in compositions if all(a <= b for a, b in zip(c, c[1:])))
+        for m in range(1, n + 2):
+            assert brute_compositions(n, m) == [c for c in ascending if c[0] >= m], (n, m)
+
+
+def test_returned_list_is_freed_without_the_cycle_collector():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        brute_compositions(12)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_guards():
