@@ -23,9 +23,9 @@ from statistics import mean, median
 from .analysis import format_ratio, r1_exact, r2_exact
 from .counting import CountContext
 from .errors import DomainError
-from .generate import gen_v1, gen_v2, gen_v3
+from .generate import ALGORITHMS
 
-_ALGS = {"v1": gen_v1, "v2": gen_v2, "v3": gen_v3}
+_ALGS = {f"v{k}": g for k, g in ALGORITHMS.items()}
 _MASK = (1 << 64) - 1
 _BASE = 1_000_003
 

@@ -15,7 +15,9 @@ residual still to be summed):
 The partition tree of n has 2 p(n) nodes and p(n) leaves; the binary tree
 has 2 p(n) - 1 nodes and the same leaves.  Materialization is a testing and
 visualization tool only, so n is guarded; the traversal and generation
-modules use the child formulas directly and never allocate trees.
+modules use the child formulas directly and never allocate trees.  The child
+functions take and return plain (x, y) tuples; only the builders wrap the
+labels they store as `Node`.
 """
 
 from __future__ import annotations
@@ -34,28 +36,28 @@ class Node(NamedTuple):
     y: int
 
 
-def tree_children(parent: Node) -> list[Node]:
+def tree_children(parent: tuple[int, int]) -> list[tuple[int, int]]:
     """Ordered children of a partition-tree node; error on leaves (y = 0)."""
     x, y = parent
     if y <= 0:
         raise DomainError(f"node {parent!r} is a leaf and has no children")
-    kids = [Node(xp, y - xp) for xp in range(x, y // 2 + 1)]
-    kids.append(Node(y, 0))
+    kids = [(xp, y - xp) for xp in range(x, y // 2 + 1)]
+    kids.append((y, 0))
     return kids
 
 
-def strict_left_child(node: Node) -> Node:
+def strict_left_child(node: tuple[int, int]) -> tuple[int, int]:
     x, y = node
     if y <= 0:
         raise DomainError(f"node {node!r} is a leaf in the binary tree")
-    return Node(x, y - x) if 2 * x <= y else Node(y, 0)
+    return (x, y - x) if 2 * x <= y else (y, 0)
 
 
-def strict_right_child(node: Node) -> Node:
+def strict_right_child(node: tuple[int, int]) -> tuple[int, int]:
     x, y = node
     if y <= 0:
         raise DomainError(f"node {node!r} is a leaf in the binary tree")
-    return Node(x + 1, y - 1) if x + 2 <= y else Node(x + y, 0)
+    return (x + 1, y - 1) if x + 2 <= y else (x + y, 0)
 
 
 @dataclass(frozen=True)
@@ -97,8 +99,8 @@ class Tree:
         return self.children[handle][1]
 
 
-def _build(kind, n, root_label, child_fn):
-    labels = [root_label]
+def _build(kind, n, root, child_fn):
+    labels = [Node._make(root)]
     children: list[list[int]] = [[]]
     stack = [0]
     while stack:
@@ -109,7 +111,7 @@ def _build(kind, n, root_label, child_fn):
         kid_ids = []
         for kid in child_fn(node):
             kid_ids.append(len(labels))
-            labels.append(kid)
+            labels.append(Node._make(kid))
             children.append([])
         children[i] = kid_ids
         stack.extend(reversed(kid_ids))
@@ -125,32 +127,31 @@ def _guard(n):
 
 def build_partition_tree(n: int) -> Tree:
     _guard(n)
-    return _build("partition", n, Node(1, n), tree_children)
+    return _build("partition", n, (1, n), tree_children)
 
 
 def build_strict_tree(n: int) -> Tree:
     _guard(n)
     return _build(
-        "binary", n, Node(1, n - 1),
+        "binary", n, (1, n - 1),
         lambda node: (strict_left_child(node), strict_right_child(node)),
     )
 
 
 def iter_root_to_leaf_paths(tree: Tree) -> Iterator[tuple[Node, ...]]:
     """Yield every root-to-leaf label path, children in stored order."""
+    labels, children = tree.labels, tree.children
     path: list[Node] = []
-
-    def rec(i):
-        path.append(tree.labels[i])
-        kids = tree.children[i]
+    stack = [(0, 0)]  # (node index, its depth)
+    while stack:
+        i, depth = stack.pop()
+        del path[depth:]
+        path.append(labels[i])
+        kids = children[i]
         if kids:
-            for j in kids:
-                yield from rec(j)
+            stack.extend((j, depth + 1) for j in reversed(kids))
         else:
             yield tuple(path)
-        path.pop()
-
-    yield from rec(0)
 
 
 def decode_path(path: Sequence[Node]) -> tuple[int, ...]:

@@ -15,9 +15,11 @@ Within a run the child steps are pure arithmetic on (x, y): left child is
 a leaf reached along the right spine is reconstructed as (x + y, 0).
 
 The visitor is a plain callback ``visit(x, y)``; pass None to traverse for
-the counters alone.  Counters follow the convention in `counters`; the
-per-loop iteration tallies are returned alongside them because the exact
-push/visit/iteration counts are the point of having three variants.
+the counters alone.  Counters follow the convention in `counters` and, as
+in `generate`'s counted generators, each loop counts only its passes: the
+`OpCounters` are passes times the lines one pass runs, weighted as tabled in
+each docstring.  The passes are returned as `TraversalStats.loops`, because
+the exact push/visit/iteration counts are the point of three variants.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 from .counters import OpCounters
 from .errors import DomainError
-from .ptree import Node, strict_left_child, strict_right_child
+from .ptree import strict_left_child, strict_right_child
 
 
 @dataclass(frozen=True)
@@ -43,11 +45,19 @@ class TraversalStats:
     loops: dict[str, int]
 
 
+def _stats(assignments, bool_evals, visits, **loops) -> TraversalStats:
+    # Every descent pass pushes once; every outer pass but the last pops once.
+    ops = OpCounters(assignments=assignments, bool_evals=bool_evals,
+                     pushes=loops["descent"], pops=loops["outer"] - 1,
+                     visits=visits)
+    return TraversalStats(ops=ops, loops=loops)
+
+
 class FormulaStrictTree:
     """Strict-binary-tree view computed from the child formulas.
 
-    Handles are (x, y) labels; no storage, so any n is fine.  Presents the
-    same accessor surface as a materialized `ptree.Tree` of kind "binary".
+    Handles are plain (x, y) tuples; no storage, so any n is fine.  Presents
+    the same accessor surface as a materialized `ptree.Tree` of kind "binary".
     """
 
     kind = "binary"
@@ -56,7 +66,7 @@ class FormulaStrictTree:
         if n < 1:
             raise DomainError(f"n must be >= 1, got {n}")
         self.n = n
-        self.root = Node(1, n - 1)
+        self.root = (1, n - 1)
 
     @staticmethod
     def label(handle):
@@ -75,7 +85,16 @@ def inorder_generic(tree, visit=None) -> TraversalStats:
 
     ``tree`` is a materialized `ptree.Tree` of kind "binary" or a
     `FormulaStrictTree`.  Every node with a left child is pushed exactly
-    once, so pushes = pops = (number of non-leaf nodes).
+    once, so pushes = pops = (number of non-leaf nodes).  With O outer and
+    D descent passes:
+
+    ============  ==============
+    assignments   2 + O + D
+    bool_evals    1 + 3O + D
+    pushes        D
+    pops          O - 1
+    visits        2O - 1
+    ============  ==============
     """
     if getattr(tree, "kind", None) != "binary":
         raise DomainError("inorder_generic requires a strict binary tree")
@@ -84,191 +103,131 @@ def inorder_generic(tree, visit=None) -> TraversalStats:
     push, pop = stack.append, stack.pop
     v = tree.root
     c = True
-    assigns = 2  # the two initializations above
-    bools = 0
-    pushes = pops = visits = 0
     outer = descent = 0
-    bools += 1
     while c:
         outer += 1
-        bools += 1
         while has_left(v):
             descent += 1
             push(v)
-            pushes += 1
             v = left(v)
-            assigns += 1
-            bools += 1
         if visit is not None:
             visit(*label(v))
-        visits += 1
-        bools += 1
         if stack:
             v = pop()
-            pops += 1
             if visit is not None:
                 visit(*label(v))
-            visits += 1
             v = right(v)
-            assigns += 1
         else:
             c = False
-            assigns += 1
-        bools += 1
-    ops = OpCounters(assignments=assigns, bool_evals=bools,
-                     pushes=pushes, pops=pops, visits=visits)
-    return TraversalStats(ops=ops, loops={"outer": outer, "descent": descent})
+    return _stats(2 + outer + descent, 1 + 3 * outer + descent, 2 * outer - 1,
+                  outer=outer, descent=descent)
 
 
 def inorder_v1(n: int, visit=None) -> TraversalStats:
-    """Inorder traversal pushing only nodes with 2x <= y."""
+    """Inorder traversal pushing only nodes with 2x <= y.
+
+    Counted as in `inorder_generic`, pushes and pops too, with P passes of
+    the pair loop:
+
+    ============  ==================
+    assignments   2 + O + D + P
+    bool_evals    1 + 4O + D + P
+    visits        2O - 1 + 2P
+    ============  ==================
+    """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    sx = [0] * n
-    sy = [0] * n
+    sx, sy = [0] * n, [0] * n
     top = -1
     x, y = 1, n - 1
     c = True
-    assigns = 2
-    bools = 0
-    pushes = pops = visits = 0
     outer = descent = pairs = 0
-    bools += 1
     while c:
         outer += 1
-        bools += 1
         while 2 * x <= y:
             descent += 1
             top += 1
-            sx[top] = x
-            sy[top] = y
-            pushes += 1
+            sx[top], sy[top] = x, y
             y -= x  # left child (x, y - x)
-            assigns += 1
-            bools += 1
-        bools += 1
         while x <= y:
             pairs += 1
             if visit is not None:
                 visit(y, 0)
                 visit(x, y)
-            visits += 2
-            x += 1  # right child (x + 1, y - 1)
-            y -= 1
-            assigns += 1
-            bools += 1
+            x, y = x + 1, y - 1  # right child (x + 1, y - 1)
         if visit is not None:
             visit(x + y, 0)
-        visits += 1
-        bools += 1
         if top >= 0:
-            x = sx[top]
-            y = sy[top]
+            x, y = sx[top], sy[top]
             top -= 1
-            pops += 1
             if visit is not None:
                 visit(x, y)
-            visits += 1
-            x += 1
-            y -= 1
-            assigns += 1
+            x, y = x + 1, y - 1
         else:
             c = False
-            assigns += 1
-        bools += 1
-    ops = OpCounters(assignments=assigns, bool_evals=bools,
-                     pushes=pushes, pops=pops, visits=visits)
-    return TraversalStats(ops=ops, loops={"outer": outer, "descent": descent,
-                                          "pairs": pairs})
+    return _stats(2 + outer + descent + pairs, 1 + 4 * outer + descent + pairs,
+                  2 * outer - 1 + 2 * pairs, outer=outer, descent=descent, pairs=pairs)
 
 
 def inorder_v2(n: int, visit=None) -> TraversalStats:
-    """Inorder traversal pushing only nodes with 3x <= y."""
+    """Inorder traversal pushing only nodes with 3x <= y.
+
+    Counted as in `inorder_generic`, pushes and pops too, with P passes of
+    the ``2 * x <= y`` loop, C of the right-chain loop and T of the tail loop:
+
+    ============  ==============================
+    assignments   2 + O + D + 2P + C + T
+    bool_evals    1 + 5O + D + 2P + C + T
+    visits        2O - 1 + 4P + 2C + 2T
+    ============  ==============================
+    """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    sx = [0] * n
-    sy = [0] * n
+    sx, sy = [0] * n, [0] * n
     top = -1
     x, y = 1, n - 1
     c = True
-    assigns = 2
-    bools = 0
-    pushes = pops = visits = 0
     outer = descent = pairs = chain = tail = 0
-    bools += 1
     while c:
         outer += 1
-        bools += 1
         while 3 * x <= y:
             descent += 1
             top += 1
-            sx[top] = x
-            sy[top] = y
-            pushes += 1
+            sx[top], sy[top] = x, y
             y -= x
-            assigns += 1
-            bools += 1
-        bools += 1
         while 2 * x <= y:
             pairs += 1
             if visit is not None:
                 visit(y - x, 0)
                 visit(x, y - x)
-            visits += 2
-            p = x + 1  # right child of (x, y - x)
-            q = y - x - 1
-            assigns += 1
-            bools += 1
+            p, q = x + 1, y - x - 1  # right child of (x, y - x)
             while p <= q:
                 chain += 1
                 if visit is not None:
                     visit(q, 0)
                     visit(p, q)
-                visits += 2
-                p += 1
-                q -= 1
-                assigns += 1
-                bools += 1
+                p, q = p + 1, q - 1
             if visit is not None:
                 visit(p + q, 0)
                 visit(x, y)
-            visits += 2
-            x += 1
-            y -= 1
-            assigns += 1
-            bools += 1
-        bools += 1
+            x, y = x + 1, y - 1
         while x <= y:
             tail += 1
             if visit is not None:
                 visit(y, 0)
                 visit(x, y)
-            visits += 2
-            x += 1
-            y -= 1
-            assigns += 1
-            bools += 1
+            x, y = x + 1, y - 1
         if visit is not None:
             visit(x + y, 0)
-        visits += 1
-        bools += 1
         if top >= 0:
-            x = sx[top]
-            y = sy[top]
+            x, y = sx[top], sy[top]
             top -= 1
-            pops += 1
             if visit is not None:
                 visit(x, y)
-            visits += 1
-            x += 1
-            y -= 1
-            assigns += 1
+            x, y = x + 1, y - 1
         else:
             c = False
-            assigns += 1
-        bools += 1
-    ops = OpCounters(assignments=assigns, bool_evals=bools,
-                     pushes=pushes, pops=pops, visits=visits)
-    return TraversalStats(ops=ops, loops={"outer": outer, "descent": descent,
-                                          "pairs": pairs, "chain": chain,
-                                          "tail": tail})
+    return _stats(2 + outer + descent + 2 * pairs + chain + tail,
+                  1 + 5 * outer + descent + 2 * pairs + chain + tail,
+                  2 * outer - 1 + 4 * pairs + 2 * chain + 2 * tail,
+                  outer=outer, descent=descent, pairs=pairs, chain=chain, tail=tail)

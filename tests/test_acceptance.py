@@ -104,13 +104,18 @@ def test_criterion_05_traversal_counters(ctx):
         one, s1 = _visit_bytes(lambda v, n=n: inorder_v1(n, v))
         two, s2 = _visit_bytes(lambda v, n=n: inorder_v2(n, v))
         assert ref == one == two, f"visit sequences differ at n={n}"
+        d = ctx.p2_closed(n)
+        r = ctx.p3_closed(n)
         assert sg.ops.pushes == p - 1, n
-        assert s1.ops.pushes == ctx.p2_closed(n) - 1, n
-        assert s2.ops.pushes == ctx.p3_closed(n) - 1, n
+        assert s1.ops.pushes == d - 1, n
+        assert s2.ops.pushes == r - 1, n
+        assert (sg.ops.assignments, sg.ops.bool_evals) == (2 * p + 1, 4 * p), n
+        assert (s1.ops.assignments, s1.ops.bool_evals) == (p + d + 1, p + 4 * d), n
+        assert (s2.ops.assignments, s2.ops.bool_evals) == (p + r + 1, p + 5 * r), n
         for stats in (sg, s1, s2):
             assert stats.ops.pops == stats.ops.pushes, n
             assert stats.ops.visits == 2 * p - 1, n
-    _report("5 (traversal stack counts exact and sequences identical, n <= 60)")
+    _report("5 (traversal stack and operation counts exact and sequences identical, n <= 60)")
 
 
 def test_criterion_06_v2_operation_counts(ctx):

@@ -1,5 +1,7 @@
 """Tree construction, hand-checked structure, path decoding, DOT export."""
 
+import gc
+
 import pytest
 
 from ascpart import (
@@ -121,6 +123,19 @@ def test_decoded_paths_are_exactly_the_compositions(ctx):
         assert len(decoded) == ctx.partition_count(n)
         assert sorted(decoded) == brute_compositions(n)
         assert len(set(decoded)) == len(decoded)
+
+
+def test_paths_are_freed_without_the_cycle_collector():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for _ in iter_root_to_leaf_paths(build_strict_tree(12)):
+            pass
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_partition_paths_spell_compositions():

@@ -82,9 +82,15 @@ def test_trivial_run():
 
 def test_counter_invariants(ctx):
     for n in (1, 5, 17, 30):
-        for stats in (inorder_generic(FormulaStrictTree(n)), inorder_v1(n), inorder_v2(n)):
+        p = ctx.partition_count(n)
+        d = ctx.p2_closed(n)
+        r = ctx.p3_closed(n)
+        runs = (inorder_generic(FormulaStrictTree(n)), inorder_v1(n), inorder_v2(n))
+        expected = ((2 * p + 1, 4 * p), (p + d + 1, p + 4 * d), (p + r + 1, p + 5 * r))
+        for stats, counts in zip(runs, expected):
             assert stats.ops.pushes == stats.ops.pops
-            assert stats.ops.visits == 2 * ctx.partition_count(n) - 1
+            assert stats.ops.visits == 2 * p - 1
+            assert (stats.ops.assignments, stats.ops.bool_evals) == counts, n
 
 
 def test_generic_rejects_non_strict_trees():
