@@ -82,9 +82,11 @@ def generation(ctx, n_max):
 
 
 def cross_paths(ctx, n_max):
-    """The sum and reduction paths and the closed forms agree with the recurrence."""
+    """Euler's p, the sum and reduction paths and the closed forms agree with the recurrence."""
     bad = []
     for n in range(1, n_max + 1):
+        if ctx.partition_count(n) != ctx.restricted_count(n, 1):
+            bad.append(f"pentagonal p({n}) vs p({n}, 1)")
         for t in (1, 2, 3, 4):
             for m in range(1, n // (t + 1) + 1):
                 want = ctx.ratio_restricted_count(n, m, t)

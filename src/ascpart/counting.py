@@ -15,7 +15,8 @@ needs largest + second >= (t + 1) * smallest, so its smallest part is <= q.
 Everything else is a special case or consequence of that recurrence:
 
 * ``p(n, m)`` -- partitions with parts >= m -- is the ``t = 1`` case, and
-  ``p(n) = p(n, 1)``.
+  ``p(n) = p(n, 1)``; ``p(n)`` itself is read from Euler's pentagonal-number
+  recurrence instead, which the ``m = 1`` column cross-checks;
 * a sum form: count(t, n, m) = 1 + sum of count(t, n - k, k) for k = m .. q;
 * a reduction step count(t, n, m) = count(t-1, n, m) - count(t-1, n - t, m),
   peeling ``t`` down to 1 so the value is a signed combination of p(., m);
@@ -25,12 +26,18 @@ Everything else is a special case or consequence of that recurrence:
 The recurrence is filled bottom-up (no recursion), one column per ``(t, m)``:
 the column holds count(t, k, m) for 0 <= k <= L and costs O(L) ints.  It is
 swept down from the column of ``m = L // (t + 1) + 1``, where only base
-cases occur, one ``m`` at a time, in place.  A column too short for a query
-is rebuilt, doubling its length up to the cap, and never mutated once
-cached.  The sum path reads one column per term, so at large n it costs one
-column fill per ``m``; it is a cross-check meant for n <= 60.  Values are
-plain Python ints, so arbitrary magnitudes stay exact; every subtraction
-along the closed forms and the reduction path is checked to be nonnegative.
+cases occur, one ``m`` at a time, in place: about L^2 / (2(t + 1)) big-int
+additions.  Every cost formula needs only p(n) and the closed forms over it,
+so the p column comes from Euler's recurrence instead, p(k) = sum of
++-p(k - g) over the generalized pentagonal numbers g <= k, in about
+1.1 L^1.5 additions; it is cached beside the recurrence's columns.  The
+recurrence still serves p(n, m) for every m, m = 1 included, the ratio
+counts and the cross-checks.  A column too short for a query is rebuilt,
+doubling its length up to the cap, and never mutated once cached.  The sum
+path reads one column per term, so at large n it costs one column fill per
+``m``; it is a cross-check meant for n <= 60.  Values are plain Python ints,
+so arbitrary magnitudes stay exact; every subtraction along the closed forms
+and the reduction path is checked to be nonnegative.
 """
 
 from __future__ import annotations
@@ -43,6 +50,9 @@ from .errors import CapacityError, DomainError
 
 DEFAULT_CAP = 5000
 
+# The cache key of the p column, beside the recurrence's (t, m) keys.
+PENTAGONAL = "pentagonal"
+
 
 def _validate_nmt(n, m, t, cap):
     if t < 1:
@@ -51,6 +61,31 @@ def _validate_nmt(n, m, t, cap):
         raise DomainError(f"minimum part must be >= 1, got {m}")
     if n > cap:
         raise CapacityError(f"n={n} exceeds the configured cap {cap}")
+
+
+def _fill_partition_numbers(length):
+    """[p(0), ..., p(length)] by Euler's pentagonal-number recurrence.
+
+    p(k) = p(k-1) + p(k-2) - p(k-5) - p(k-7) + p(k-12) + p(k-15) - ...,
+    over the generalized pentagonal numbers j(3j - 1) / 2, j(3j + 1) / 2 for
+    j = 1, 2, ..., whose terms take the sign of (-1)^(j+1).  The offsets are
+    kept negated and split by sign, so that while p holds p(0..k-1), p(k - g)
+    is p[-g] and p(k) is two C-level sums over the offsets g <= k.
+    """
+    pentagonal = []
+    j = 1
+    while j * (3 * j - 1) // 2 <= length:
+        pentagonal += (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2)
+        j += 1
+    p = [1]
+    get = p.__getitem__
+    plus, minus = [], []
+    for i, (g, end) in enumerate(zip(pentagonal, pentagonal[1:] + [length + 1])):
+        (minus if i & 2 else plus).append(-g)
+        # for g <= k < end the offsets <= k stay the same
+        for _ in range(g, min(end, length + 1)):
+            p.append(sum(map(get, plus)) - sum(map(get, minus)))
+    return p
 
 
 def _fill_column(t, m, length):
@@ -75,6 +110,11 @@ def _fill_column(t, m, length):
 class CountContext:
     """Memoized partition counts, one cached column per (ratio factor, minimum part).
 
+    ``partition_count`` and everything built on it (the closed forms, the
+    inequality scan) read one more column, p(k) from Euler's recurrence;
+    ``restricted_count`` at m = 1 still reads the minimum-part recurrence's
+    column, which cross-checks it.
+
     A context may be shared between threads.  A column is built privately
     under a lock and published with one dict assignment; a published column
     is never mutated, only replaced by a longer one, so a query whose column
@@ -87,20 +127,21 @@ class CountContext:
         if cap < 0:
             raise ValueError("cap must be nonnegative")
         self.cap = cap
-        # _columns[t, m][k] = count(t, k, m)
-        self._columns: dict[tuple[int, int], list[int]] = {}
+        # _columns[t, m][k] = count(t, k, m); _columns[PENTAGONAL][k] = p(k)
+        self._columns: dict[tuple[int, int] | str, list[int]] = {}
         self._lock = threading.Lock()
 
-    def _column(self, t, m, n):
-        col = self._columns.get((t, m))
+    def _column(self, key, n):
+        col = self._columns.get(key)
         if col is not None and len(col) > n:
             return col
         with self._lock:
             # read again under the lock: another thread may have grown it
-            col = self._columns.get((t, m))
+            col = self._columns.get(key)
             if col is None or len(col) <= n:
                 length = n if col is None else min(self.cap, max(n, 2 * (len(col) - 1)))
-                col = self._columns[t, m] = _fill_column(t, m, length)
+                col = self._columns[key] = (_fill_partition_numbers(length)
+                                            if key == PENTAGONAL else _fill_column(*key, length))
             return col
 
     def ratio_restricted_count(self, n: int, m: int, t: int) -> int:
@@ -112,7 +153,7 @@ class CountContext:
             return 0
         if m > n // (t + 1):
             return 1
-        return self._column(t, m, n)[n]
+        return self._column((t, m), n)[n]
 
     def ratio_count(self, n: int, t: int) -> int:
         """Partitions of n whose largest part is >= t times the second largest."""
@@ -128,12 +169,15 @@ class CountContext:
         return self.ratio_restricted_count(n, m, 1)
 
     def partition_count(self, n: int) -> int:
-        """p(n): number of partitions of n (p(0) = 1)."""
-        return self.restricted_count(n, 1)
+        """p(n): number of partitions of n (p(0) = 1), by Euler's recurrence."""
+        if n < 0:
+            raise DomainError(f"n must be >= 0, got {n}")
+        _validate_nmt(n, 1, 1, self.cap)
+        return self._column(PENTAGONAL, n)[n]
 
     def _p(self, n):
         # closed forms read below index 0; treat those terms as absent
-        return self.restricted_count(n, 1) if n >= 0 else 0
+        return self.partition_count(n) if n >= 0 else 0
 
     def ratio_count_via_sum(self, n: int, m: int, t: int) -> int:
         """Same value as ratio_restricted_count, through the sum identity.

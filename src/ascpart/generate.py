@@ -27,8 +27,9 @@ that read defined (the loop then exits).
 `gen_v2_counted` / `gen_v3_counted` are the same algorithms with operation
 tallies; their assignment and boolean-evaluation counts are exact functions
 of n (see `analysis`), which is what the instrumented variants exist to
-demonstrate.  Each of their loops counts its own passes, one addition per
-pass, and the tallies are built at return as each loop's passes times the
+demonstrate.  They count each loop's passes, `gen_v2_counted` with one
+addition per pass and `gen_v3_counted` from the change in each inner loop's
+variable, and build the tallies at return as each loop's passes times the
 lines one pass executes; the per-loop weights are tabled in their
 docstrings.  The plain variants stay uninstrumented so timing runs are
 undistorted.
@@ -318,24 +319,28 @@ def gen_v3_counted(n: int, consumer=None) -> OpCounters:
     bool_evals    1 + 4O + D + 2P + S + T
     visits        O + 2P + S + T
     ============  ======================================
+
+    Only the outer loop adds one per pass; the others are read off their
+    loop variables.  Each pass adds one to x in the P and T loops and to p in
+    the S loop.  k gains one per descent pass and loses one per outer pass,
+    from 1 down to 0, so D = O - 1.
     """
     _check_n(n, lo=2)
     a = [0] * (n + 3)
     k = 1
     x = 1
     y = n - 1
-    outer = descent = pairs = shifts = tail = 0
+    outer = pairs = shifts = tail = 0
     while k > 0:
         outer += 1
         while 3 * x <= y:
-            descent += 1
             a[k] = x
             y -= x
             k += 1
         t = k + 1
         u = k + 2
+        pairs -= x
         while 2 * x <= y:
-            pairs += 1
             a[k] = x
             a[t] = x
             a[u] = y - x
@@ -344,32 +349,35 @@ def gen_v3_counted(n: int, consumer=None) -> OpCounters:
             p = x + 1
             q = y - p
             while p <= q:
-                shifts += 1
                 a[t] = p
                 a[u] = q
                 if consumer is not None:
                     consumer(a, u)
                 p += 1
                 q -= 1
+            shifts += p - x - 1
             a[t] = y
             if consumer is not None:
                 consumer(a, t)
             x += 1
             y -= 1
+        pairs += x
+        tail -= x
         while x <= y:
-            tail += 1
             a[k] = x
             a[t] = y
             if consumer is not None:
                 consumer(a, t)
             x += 1
             y -= 1
+        tail += x
         y += x - 1
         a[k] = y + 1
         if consumer is not None:
             consumer(a, k)
         k -= 1
         x = a[k] + 1
+    descent = outer - 1
     return OpCounters(
         assignments=3 + 6 * outer + 3 * descent + 8 * pairs + 4 * shifts + 4 * tail,
         bool_evals=1 + 4 * outer + descent + 2 * pairs + shifts + tail,

@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from ascpart import CountContext, checks
+from ascpart.counting import PENTAGONAL
 
 
 def _result(change):
@@ -25,25 +26,37 @@ def _stream(edit, extra=0):
     return defect
 
 
-@pytest.mark.parametrize("check, n_max, target, name, defect", [
-    (checks.worked_examples, None, None, "ratio_count", _result(lambda v: v + 1)),
-    (checks.generation, 8, checks, "ALGORITHMS", _stream(lambda s: s[:-1])),
-    (checks.generation, 8, checks, "ALGORITHMS", _stream(lambda s: s[:1] + s[2:0:-1] + s[3:])),
-    (checks.generation, 8, checks, "ALGORITHMS", _stream(lambda s: s + s[-1:])),
-    (checks.generation, 8, checks, "ALGORITHMS", _stream(lambda s: s, extra=1)),
-    (checks.cross_paths, 8, None, "p2_closed", _result(lambda v: v + 1)),
+def _pentagonal_entry(k):
+    """A defect in the cached pentagonal column: p(k) off by one."""
+    def defect(columns):
+        col = columns[PENTAGONAL]
+        return {**columns, PENTAGONAL: col[:k] + [col[k] + 1] + col[k + 1:]}
+    return defect
+
+
+@pytest.mark.parametrize("check, n_max, target, name, defect, names", [
+    (checks.worked_examples, None, None, "ratio_count", _result(lambda v: v + 1),
+     "double-ratio(5)"),
+    (checks.generation, 8, checks, "ALGORITHMS", _stream(lambda s: s[:-1]), "alg 2"),
+    (checks.generation, 8, checks, "ALGORITHMS", _stream(lambda s: s[:1] + s[2:0:-1] + s[3:]),
+     "alg 2"),
+    (checks.generation, 8, checks, "ALGORITHMS", _stream(lambda s: s + s[-1:]), "alg 2"),
+    (checks.generation, 8, checks, "ALGORITHMS", _stream(lambda s: s, extra=1), "alg 2"),
+    (checks.cross_paths, 8, None, "p2_closed", _result(lambda v: v + 1), "closed form t=2"),
+    (checks.cross_paths, 8, None, "_columns", _pentagonal_entry(5), "pentagonal p(5) vs p(5, 1)"),
     (checks.op_counts, 8, checks, "verify_v3_counts",
-     _result(lambda c: replace(c, actual_assignments=c.actual_assignments + 1))),
+     _result(lambda c: replace(c, actual_assignments=c.actual_assignments + 1)), "v3 at n=2"),
     (checks.trees, 8, checks, "build_strict_tree",  # the last node built is a leaf
-     _result(lambda t: replace(t, labels=t.labels[:-1], children=t.children[:-1]))),
+     _result(lambda t: replace(t, labels=t.labels[:-1], children=t.children[:-1])),
+     "binary tree"),
     (checks.inequalities, 100, None, "check_inequalities",
-     _result(lambda r: replace(r, dominance_violations=[7]))),
-], ids=["worked", "missing", "swapped", "extra", "miscounted", "closed-form", "op-counts",
-        "tree", "inequality"])
-def test_check_fails_on_defect(monkeypatch, check, n_max, target, name, defect):
+     _result(lambda r: replace(r, dominance_violations=[7])), "[7]"),
+], ids=["worked", "missing", "swapped", "extra", "miscounted", "closed-form", "pentagonal",
+        "op-counts", "tree", "inequality"])
+def test_check_fails_on_defect(monkeypatch, check, n_max, target, name, defect, names):
     ctx = CountContext()
     assert check(ctx, n_max).ok
     target = ctx if target is None else target
     monkeypatch.setattr(target, name, defect(getattr(target, name)))
     result = check(ctx, n_max)
-    assert not result.ok and result.detail
+    assert not result.ok and names in result.detail

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, rule
 
 from ascpart import CapacityError, CountContext, DomainError, checks
+from ascpart.counting import _fill_column, _fill_partition_numbers
 from ascpart.oracle import brute_compositions, brute_ratio_count, has_ratio_property
 
 # A000041, verified against the brute-force oracle below.
@@ -19,6 +20,18 @@ P_SMALL = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176,
 
 def test_partition_count_small(ctx):
     assert [ctx.partition_count(n) for n in range(21)] == P_SMALL
+
+
+def test_pentagonal_fill_is_the_recurrence_column():
+    for length in [*range(301), 5000]:
+        assert _fill_partition_numbers(length) == _fill_column(1, 1, length), length
+
+
+def test_partition_count_is_restricted_count_at_m1(ctx):
+    ctx.partition_count(5000)  # one fill of each column, not one per doubling
+    ctx.restricted_count(5000, 1)
+    assert ([ctx.partition_count(n) for n in range(5001)]
+            == [ctx.restricted_count(n, 1) for n in range(5001)])
 
 
 def test_partition_count_matches_enumeration(ctx):
@@ -155,7 +168,7 @@ def test_memo_reproducible(ctx):
 
 @pytest.mark.parametrize("queries", [
     [("partition_count", 1500)] * 4,
-    # different columns, and the p column grows from 700 to 1500 meanwhile
+    # different columns, and the pentagonal p column grows from 700 to 1500 meanwhile
     [("partition_count", 700), ("partition_count", 1500),
      ("ratio_count", 1500, 3), ("restricted_count", 1500, 7)],
 ], ids=["one-column", "growing-column"])
@@ -184,8 +197,10 @@ def test_concurrent_queries_on_fresh_context(queries):
 
 def test_capacity_errors():
     small = CountContext(cap=50)
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="^n=51 exceeds the configured cap 50$"):
         small.partition_count(51)
+    with pytest.raises(CapacityError, match="^n=51 exceeds the configured cap 50$"):
+        small.restricted_count(51, 1)
     with pytest.raises(CapacityError):
         small.ratio_restricted_count(51, 1, 2)
     with pytest.raises(CapacityError):
@@ -194,7 +209,9 @@ def test_capacity_errors():
 
 
 def test_domain_errors(ctx):
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^n must be >= 0, got -1$"):
+        ctx.partition_count(-1)
+    with pytest.raises(DomainError, match="^n must be >= 0, got -1$"):
         ctx.restricted_count(-1, 1)
     with pytest.raises(DomainError):
         ctx.restricted_count(5, 0)
