@@ -3,14 +3,14 @@
 Subcommands::
 
     count <n> [--min-part M] [--ratio-t T]    partition counts
-    generate <n> [--alg 1|2|3] [--limit K] [--descending]
+    generate <n> [--limit K] [--descending]   one composition per line
     verify [--max-n N]                        self-verification battery
     tree <n> --kind partition|binary [--out PATH]
     ratios [--max-n N] [--out PATH]           CSV n,r1,r2
     bench --n 20,30,40 [--reps R] [--out PATH]
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  All output
-is plain ASCII text or CSV.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 130
+interrupted (Ctrl-C).  All output is plain ASCII text or CSV.
 """
 
 from __future__ import annotations
@@ -25,17 +25,13 @@ from .bench import bench_table, write_bench_csv
 from .checks import battery
 from .counting import CountContext
 from .errors import AscpartError
-from .generate import ALGORITHMS, CHUNK_LINES, render_v3
+from .generate import render_v3
 from .ptree import build_partition_tree, build_strict_tree, to_dot
 
 
 # At a few hundred ns per visit, 10**9 visits is several minutes of bench
 # or verify.
 BENCH_MAX_VISITS = 10**9
-
-
-class _LimitReached(Exception):
-    pass
 
 
 def _open_out(path):
@@ -66,41 +62,8 @@ def _cmd_count(args):
 
 
 def _cmd_generate(args):
-    write = sys.stdout.write
-    left = args.limit  # lines still to print; None prints all
-
-    def flush(lines):
-        """One write per chunk; raises _LimitReached once --limit lines are out."""
-        nonlocal left
-        if left is not None:
-            if len(lines) >= left:
-                write("".join(lines[:left]))
-                raise _LimitReached
-            left -= len(lines)
-        write("".join(lines))
-
-    try:
-        if args.alg == 3:
-            for lines in render_v3(args.n, args.descending):
-                flush(lines)
-        else:
-            s = [str(i) for i in range(args.n + 1)]
-            descending = args.descending
-            lines = []
-
-            def consumer(a, length):
-                parts = a[length:0:-1] if descending else a[1:length + 1]
-                lines.append(" ".join([s[v] for v in parts]) + "\n")
-                # flushing at the limit's last line stops the generator there
-                if len(lines) >= CHUNK_LINES or len(lines) == left:
-                    flush(lines)
-                    lines.clear()
-
-            ALGORITHMS[args.alg](args.n, consumer)
-            if lines:
-                flush(lines)
-    except _LimitReached:
-        pass
+    # sys.stdout is looked up per call: callers swap it with redirect_stdout
+    sys.stdout.writelines(render_v3(args.n, args.descending, args.limit))
     return 0
 
 
@@ -194,7 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="stream ascending compositions, one per line")
     p.add_argument("n", type=_positive)
-    p.add_argument("--alg", type=int, choices=sorted(ALGORITHMS), default=3)
     p.add_argument("--limit", type=_positive, default=None, metavar="K")
     p.add_argument("--descending", action="store_true",
                    help="print each composition with parts in descending order")
@@ -241,6 +203,8 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 0
+    except KeyboardInterrupt:
+        return 130  # 128 + SIGINT, as a shell reports it; no traceback
 
 
 if __name__ == "__main__":

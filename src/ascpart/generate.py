@@ -21,8 +21,8 @@ that read defined (the loop then exits).
 * `gen_v3` additionally walks compositions that differ only in their last
   two parts without touching the descent loop at all.
 * `render_v3` is `gen_v3`'s loop emitting text lines instead of visits,
-  with the rendered prefix kept across the lines that share it; it is what
-  ``ascpart generate`` prints by default.
+  with the rendered prefix kept across the lines that share it, in either
+  order of parts; it is what ``ascpart generate`` prints.
 
 `gen_v2_counted` / `gen_v3_counted` are the same algorithms with operation
 tallies; their assignment and boolean-evaluation counts are exact functions
@@ -37,6 +37,8 @@ undistorted.
 
 from __future__ import annotations
 
+import math
+
 from .counters import OpCounters
 from .errors import CapacityError, DomainError
 
@@ -44,7 +46,7 @@ from .errors import CapacityError, DomainError
 # demos only (p(45) = 89134 already).
 COLLECT_CAP = 45
 
-# Lines per list from `render_v3`: enough to make per-chunk costs vanish,
+# Lines per chunk from `render_v3`: enough to make per-chunk costs vanish,
 # few enough that a chunk stays small beside the interpreter's own memory.
 CHUNK_LINES = 256
 
@@ -175,30 +177,37 @@ def gen_v3(n: int, consumer) -> int:
     return count
 
 
-def render_v3(n: int, descending: bool = False):
-    """`gen_v3`'s compositions of n as text, yielded as lists of lines.
+def _join(lines, descending):
+    return "".join(lines[::-1])[::-1] if descending else "".join(lines)
+
+
+def render_v3(n: int, descending: bool = False, limit: int | None = None):
+    """`gen_v3`'s compositions of n as text, yielded in chunks of lines.
 
     Each line is one composition: its parts in ascending order (largest
     first with ``descending``), separated by single spaces, ending in a
-    newline.  A list is handed over once it holds at least `CHUNK_LINES`
-    lines; the last one may be shorter.
+    newline.  A chunk is one string of at least `CHUNK_LINES` lines; the
+    last one may be shorter.  With ``limit`` only the first ``limit`` lines
+    are rendered and yielded.
 
     The loop is `gen_v3`'s.  The text of a_1..a_{k-1} is the same for
-    every line emitted at depth k, so it is kept rendered in ``text``:
-    the descent loop appends a part, and backtracking cuts ``text`` back to
-    its length at the new depth.  A line is then that text plus one to
-    three lookups in per-part string tables.  For the descending order
-    ``text`` holds the suffix of the line, character-reversed, so that it
-    too grows by appending; it is reversed once per pass of the outer
-    loop.  Holding one string, not one per depth, keeps memory linear in n.
+    every line emitted at depth k, so it is kept rendered in ``text``: a
+    descent appends its run of equal parts at once, and backtracking cuts
+    the last part off again.  A line is then that text plus one to three
+    lookups in per-part string tables.  A descending line is the character
+    reversal of the ascending line of the character-reversed parts, so
+    both orders run the same loop: the descending one with reversed tables
+    and a leading newline, reversing each chunk once as it is yielded.
+    Holding one string, not one per depth, keeps memory linear in n.
     """
     _check_n(n)
-    s = [str(i) for i in range(n + 1)]
-    sp = [v + " " for v in s]
-    nl = [v + "\n" for v in s]
-    tok = [v[::-1] + " " for v in s] if descending else sp
-    text = "\n" if descending else ""
-    ends = [len(text)] * (n + 2)  # ends[k]: len(text) at depth k
+    if limit is not None and limit < 0:
+        raise DomainError(f"limit must be >= 0, got {limit}")
+    left = math.inf if limit is None else limit  # lines still to yield
+    # descending: each part reversed, and the newline leads instead of ending
+    step, end, text = (-1, "", "\n") if descending else (1, "\n", "")
+    sp = [str(i)[::step] + " " for i in range(n + 1)]
+    last = [str(i)[::step] + end for i in range(n + 1)]
     a = [0] * (n + 3)  # only the descent's parts are stored: backtracking reads them
     k = 1
     x = 1
@@ -206,58 +215,42 @@ def render_v3(n: int, descending: bool = False):
     lines = []
     emit = lines.append
     while k > 0:
+        top = k
         while 3 * x <= y:
             a[k] = x
-            text += tok[x]
             y -= x
             k += 1
-            ends[k] = len(text)
-        if descending:
-            r = text[::-1]
-            while 2 * x <= y:
-                tail = " " + s[x] + r
-                p = x
-                q = y - x
-                while p <= q:
-                    emit(sp[q] + s[p] + tail)
-                    p += 1
-                    q -= 1
-                emit(s[y] + tail)
-                x += 1
-                y -= 1
-            while x <= y:
-                emit(sp[y] + s[x] + r)
-                x += 1
-                y -= 1
-            y += x - 1
-            emit(s[y + 1] + r)
-        else:
-            while 2 * x <= y:
-                head = text + sp[x]
-                p = x
-                q = y - x
-                while p <= q:
-                    emit(head + sp[p] + nl[q])
-                    p += 1
-                    q -= 1
-                emit(head + nl[y])
-                x += 1
-                y -= 1
-            while x <= y:
-                emit(text + sp[x] + nl[y])
-                x += 1
-                y -= 1
-            y += x - 1
-            emit(text + nl[y + 1])
+        text += sp[x] * (k - top)
+        while 2 * x <= y:
+            head = text + sp[x]
+            p = x
+            q = y - x
+            while p <= q:
+                emit(head + sp[p] + last[q])
+                p += 1
+                q -= 1
+            emit(head + last[y])
+            x += 1
+            y -= 1
+        while x <= y:
+            emit(text + sp[x] + last[y])
+            x += 1
+            y -= 1
+        y += x - 1
+        emit(text + last[y + 1])
         k -= 1
+        text = text[:-len(sp[a[k]])]
         x = a[k] + 1
-        text = text[:ends[k]]
+        if len(lines) >= left:
+            del lines[left:]
+            break
         if len(lines) >= CHUNK_LINES:
-            yield lines
+            yield _join(lines, descending)
+            left -= len(lines)
             lines = []
             emit = lines.append
     if lines:
-        yield lines
+        yield _join(lines, descending)
 
 
 def gen_v2_counted(n: int, consumer=None) -> OpCounters:

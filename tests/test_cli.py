@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 
 import ascpart
 import ascpart.checks
-from ascpart import ALGORITHMS, gen_v3
+from ascpart import gen_v3
 from ascpart.cli import main
 from ascpart.generate import CHUNK_LINES, render_v3
 
@@ -42,7 +43,7 @@ def test_count_ratio(capsys):
 
 
 def test_generate_four(capsys):
-    code, out = run(capsys, "generate", "4", "--alg", "2")
+    code, out = run(capsys, "generate", "4")
     assert code == 0
     assert out == "1 1 1 1\n1 1 2\n1 3\n2 2\n4\n"
 
@@ -64,10 +65,9 @@ def test_generate_descending(capsys):
     assert out.splitlines() == ["1 1 1 1 1 1", "2 1 1 1 1", "3 1 1 1"]
 
 
-@pytest.mark.parametrize("alg", [1, 2, 3])
-def test_generate_line_count_is_partition_count(capsys, ctx, alg):
+def test_generate_line_count_is_partition_count(capsys, ctx):
     for n in (10, 18, 30):
-        code, out = run(capsys, "generate", str(n), "--alg", str(alg))
+        code, out = run(capsys, "generate", str(n))
         assert code == 0
         assert len(out.splitlines()) == ctx.partition_count(n)
 
@@ -88,11 +88,9 @@ def reference_lines(n, descending):
 def test_generate_matches_reference_rendering(capsys, descending):
     order = ["--descending"] if descending else []
     for n in range(1, 46):
-        want = "".join(reference_lines(n, descending))
-        for alg in ALGORITHMS:
-            code, out = run(capsys, "generate", str(n), "--alg", str(alg), *order)
-            assert code == 0
-            assert out == want, (n, alg)
+        code, out = run(capsys, "generate", str(n), *order)
+        assert code == 0
+        assert out == "".join(reference_lines(n, descending)), n
 
 
 @pytest.mark.parametrize("descending", [False, True])
@@ -101,18 +99,29 @@ def test_generate_limit_at_chunk_boundaries(capsys, descending):
     order = ["--descending"] if descending else []
     want = reference_lines(n, descending)
     chunks = render_v3(n, descending)
-    first = len(next(chunks))
-    second = first + len(next(chunks))
-    assert first >= CHUNK_LINES
-    boundaries = {1: (CHUNK_LINES, 2 * CHUNK_LINES), 2: (CHUNK_LINES, 2 * CHUNK_LINES),
-                  3: (first, second)}
-    for alg, ends in boundaries.items():
-        for end in ends:
-            for limit in (end - 1, end, end + 1):
-                code, out = run(capsys, "generate", str(n), "--alg", str(alg),
-                                "--limit", str(limit), *order)
-                assert code == 0
-                assert out == "".join(want[:limit]), (alg, limit)
+    first = next(chunks).count("\n")
+    second = first + next(chunks).count("\n")
+    assert first >= CHUNK_LINES and second - first >= CHUNK_LINES
+    for end in (first, second):
+        for limit in (end - 1, end, end + 1):
+            code, out = run(capsys, "generate", str(n), "--limit", str(limit), *order)
+            assert code == 0
+            assert out == "".join(want[:limit]), limit
+
+
+@pytest.mark.parametrize("descending", [False, True])
+def test_render_v3_yields_exactly_limit_lines(descending):
+    n = 45
+    want = reference_lines(n, descending)
+    for limit in (0, 1, 2, 3, 255, 256, 257, 4096, len(want) - 1, len(want), len(want) + 1):
+        chunks = list(render_v3(n, descending, limit))
+        assert "".join(chunks) == "".join(want[:limit]), limit
+        assert all(chunk.count("\n") >= CHUNK_LINES for chunk in chunks[:-1]), limit
+    # at large n the limit cuts the first pass of the outer loop
+    for limit in (1, 2, 3):
+        text = "".join(render_v3(3000, descending, limit))
+        assert text.count("\n") == limit
+        assert text.startswith(" ".join(["1"] * 3000) + "\n")
 
 
 def ascpart_command(*argv):
@@ -122,15 +131,16 @@ def ascpart_command(*argv):
     return [sys.executable, "-m", "ascpart.cli", *argv], env
 
 
-@pytest.mark.parametrize("alg", [[], ["--alg", "1"]])
-def test_generate_limit_stops_the_generator(alg):
-    # p(200) is about 4e12: only a run that stops at the limit finishes
-    argv, env = ascpart_command("generate", "200", *alg, "--limit", "3")
+@pytest.mark.parametrize("n, limit", [(200, 3), (1000000, 2)])
+def test_generate_limit_stops_the_generator(n, limit):
+    # p(200) is about 4e12: only a run that stops at the limit finishes.  At
+    # n = 10**6 each line is 2 MB, so the run must also render in linear time.
+    argv, env = ascpart_command("generate", str(n), "--limit", str(limit))
     proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
-    assert proc.stdout.splitlines() == [" ".join(["1"] * 200),
-                                        " ".join(["1"] * 198 + ["2"]),
-                                        " ".join(["1"] * 197 + ["3"])]
+    assert proc.stdout.splitlines() == [" ".join(["1"] * n),
+                                        " ".join(["1"] * (n - 2) + ["2"]),
+                                        " ".join(["1"] * (n - 3) + ["3"])][:limit]
 
 
 @pytest.mark.parametrize("command, lines_read", [
@@ -150,6 +160,23 @@ def test_closed_reader_exits_zero_quietly(command, lines_read):
         proc.wait()
     assert err == b""
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize("command", [("generate", "100"), ("verify",)])
+def test_interrupt_exits_130_quietly(command):
+    argv, env = ascpart_command(*command)
+    # unbuffered, so the first line arrives while the command still runs
+    proc = subprocess.Popen([argv[0], "-u", *argv[1:]], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline()
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert err == b""
+    assert proc.returncode == 130
 
 
 def test_tree_to_file(tmp_path, capsys):

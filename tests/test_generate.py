@@ -13,6 +13,7 @@ from ascpart import (
     gen_v3,
     gen_v3_counted,
 )
+from ascpart.generate import render_v3
 from ascpart.oracle import brute_compositions
 
 
@@ -131,6 +132,9 @@ def test_domain_errors():
         collect_compositions(5, 7)
     with pytest.raises(CapacityError):
         collect_compositions(46)
+    for args in ((0,), (4, False, -1)):
+        with pytest.raises(DomainError):
+            next(render_v3(*args))
 
 
 def test_algorithm_table():
