@@ -47,7 +47,7 @@ from .ptree import (
     to_dot,
     tree_children,
 )
-from .traversal import FormulaStrictTree, TraversalStats, inorder_generic, inorder_v1, inorder_v2
+from .traversal import TraversalStats, inorder_generic, inorder_v1, inorder_v2
 
 __version__ = "0.1.0"
 
@@ -62,7 +62,6 @@ __all__ = [
     "CountContext",
     "DEFAULT_CAP",
     "DomainError",
-    "FormulaStrictTree",
     "InequalityReport",
     "MATERIALIZE_CAP",
     "Node",

@@ -31,22 +31,27 @@ from .errors import DomainError
 from .generate import gen_v2_counted, gen_v3_counted
 
 
-def _ratio_parts(n, ctx):
+def _predicted(n, ctx):
+    """The paper's (assignments, bool_evals) for gen_v2 and gen_v3 at n."""
     if n < 2:
         raise DomainError(f"ratios are defined for n >= 2, got {n}")
-    return ctx.partition_count(n), ctx.p2_closed(n), ctx.p3_closed(n)
+    p, d, r = ctx.partition_count(n), ctx.p2_closed(n), ctx.p3_closed(n)
+    return {"v2": (4 * p + 4 * d, p + 3 * d), "v3": (4 * p + 5 * r, p + 4 * r)}
+
+
+def _ratios(n, ctx):
+    counts = _predicted(n, ctx)
+    return tuple(map(Fraction, counts["v3"], counts["v2"]))
 
 
 def r1_exact(n: int, ctx: CountContext) -> Fraction:
     """Assignment-count ratio of gen_v3 to gen_v2, as an exact rational."""
-    p, d, r = _ratio_parts(n, ctx)
-    return Fraction(4 * p + 5 * r, 4 * p + 4 * d)
+    return _ratios(n, ctx)[0]
 
 
 def r2_exact(n: int, ctx: CountContext) -> Fraction:
     """Boolean-evaluation-count ratio of gen_v3 to gen_v2, exact."""
-    p, d, r = _ratio_parts(n, ctx)
-    return Fraction(p + 4 * r, p + 3 * d)
+    return _ratios(n, ctx)[1]
 
 
 def format_ratio(value) -> str:
@@ -77,24 +82,22 @@ class CountCheck:
                 and self.expected_bool_evals == self.actual_bool_evals)
 
 
-def verify_v2_counts(n: int, ctx: CountContext) -> CountCheck:
-    p, d, _ = _ratio_parts(n, ctx)
-    ops = gen_v2_counted(n)
-    return CountCheck(n=n, algorithm="v2",
-                      expected_assignments=4 * p + 4 * d,
+def _verify(n, ctx, algorithm, counted):
+    assignments, bool_evals = _predicted(n, ctx)[algorithm]
+    ops = counted(n)
+    return CountCheck(n=n, algorithm=algorithm,
+                      expected_assignments=assignments,
                       actual_assignments=ops.assignments,
-                      expected_bool_evals=p + 3 * d,
+                      expected_bool_evals=bool_evals,
                       actual_bool_evals=ops.bool_evals)
+
+
+def verify_v2_counts(n: int, ctx: CountContext) -> CountCheck:
+    return _verify(n, ctx, "v2", gen_v2_counted)
 
 
 def verify_v3_counts(n: int, ctx: CountContext) -> CountCheck:
-    p, _, r = _ratio_parts(n, ctx)
-    ops = gen_v3_counted(n)
-    return CountCheck(n=n, algorithm="v3",
-                      expected_assignments=4 * p + 5 * r,
-                      actual_assignments=ops.assignments,
-                      expected_bool_evals=p + 4 * r,
-                      actual_bool_evals=ops.bool_evals)
+    return _verify(n, ctx, "v3", gen_v3_counted)
 
 
 @dataclass(frozen=True)
@@ -123,8 +126,7 @@ def ratio_table(n_max: int, ctx: CountContext) -> RatioScan:
     best1 = best2 = None
     argmin1 = argmin2 = 2
     for n in range(2, n_max + 1):
-        f1 = r1_exact(n, ctx)
-        f2 = r2_exact(n, ctx)
+        f1, f2 = _ratios(n, ctx)
         if not (0 < f1 < 1 and 0 < f2 < 1):
             violations.append(n)
         if best1 is None or f1 < best1:

@@ -109,25 +109,14 @@ def _cmd_verify(args):
     return 0 if passed == total else 1
 
 
-def _positive(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _nonnegative(text):
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _max_n(text):
-    value = int(text)
-    if value < 2:  # below 2 the operation-count sweep 2 <= n <= max_n is empty
-        raise argparse.ArgumentTypeError(f"must be >= 2, got {value}")
-    return value
+def _at_least(bound):
+    """argparse type: an integer no smaller than ``bound``."""
+    def integer(text):
+        value = int(text)
+        if value < bound:
+            raise argparse.ArgumentTypeError(f"must be >= {bound}, got {value}")
+        return value
+    return integer
 
 
 def _int_list(text):
@@ -150,24 +139,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="print a partition count")
-    p.add_argument("n", type=_nonnegative)
-    p.add_argument("--min-part", type=_positive, default=1, metavar="M")
-    p.add_argument("--ratio-t", type=_positive, default=None, metavar="T")
+    p.add_argument("n", type=_at_least(0))
+    p.add_argument("--min-part", type=_at_least(1), default=1, metavar="M")
+    p.add_argument("--ratio-t", type=_at_least(1), default=None, metavar="T")
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("generate", help="stream ascending compositions, one per line")
-    p.add_argument("n", type=_positive)
-    p.add_argument("--limit", type=_positive, default=None, metavar="K")
+    p.add_argument("n", type=_at_least(1))
+    p.add_argument("--limit", type=_at_least(1), default=None, metavar="K")
     p.add_argument("--descending", action="store_true",
                    help="print each composition with parts in descending order")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("verify", help="run the self-verification battery")
-    p.add_argument("--max-n", type=_max_n, default=60)
+    # below 2 the operation-count sweep 2 <= n <= max_n is empty
+    p.add_argument("--max-n", type=_at_least(2), default=60)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("tree", help="emit a tree as DOT")
-    p.add_argument("n", type=_positive)
+    p.add_argument("n", type=_at_least(1))
     p.add_argument("--kind", choices=("partition", "binary"), required=True)
     p.add_argument("--out", default=None, metavar="PATH")
     p.set_defaults(func=_cmd_tree)
@@ -179,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="time the generators and emit CSV")
     p.add_argument("--n", type=_int_list, required=True, metavar="N1,N2,...")
-    p.add_argument("--reps", type=_positive, default=10)
+    p.add_argument("--reps", type=_at_least(1), default=10)
     p.add_argument("--out", default=None, metavar="PATH")
     p.set_defaults(func=_cmd_bench)
 

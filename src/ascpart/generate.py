@@ -206,7 +206,8 @@ def render_v3(n: int, descending: bool = False, limit: int | None = None):
     left = math.inf if limit is None else limit  # lines still to yield
     # descending: each part reversed, and the newline leads instead of ending
     step, end, text = (-1, "", "\n") if descending else (1, "\n", "")
-    sp = [str(i)[::step] + " " for i in range(n + 1)]
+    # a part that is not last is at most n // 2; n = 1's last pass reads sp[1] * 0
+    sp = [str(i)[::step] + " " for i in range(max(n // 2, 1) + 1)]
     last = [str(i)[::step] + end for i in range(n + 1)]
     a = [0] * (n + 3)  # only the descent's parts are stored: backtracking reads them
     k = 1

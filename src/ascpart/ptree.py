@@ -15,9 +15,10 @@ residual still to be summed):
 The partition tree of n has 2 p(n) nodes and p(n) leaves; the binary tree
 has 2 p(n) - 1 nodes and the same leaves.  Materialization is a testing and
 visualization tool only, so n is guarded; the traversal and generation
-modules use the child formulas directly and never allocate trees.  The child
-functions take and return plain (x, y) tuples; only the builders wrap the
-labels they store as `Node`.
+modules use the child formulas directly and never allocate trees.  A built
+`Tree` is plain data, labels and child index lists, read by `to_dot`, the
+path tools and `checks.trees`.  The child functions take and return plain
+(x, y) tuples; only the builders wrap the labels they store as `Node`.
 """
 
 from __future__ import annotations
@@ -79,24 +80,6 @@ class Tree:
     @property
     def leaf_count(self) -> int:
         return sum(1 for kids in self.children if not kids)
-
-    # Strict-tree accessors used by traversal.inorder_generic; handles are
-    # arena indices.
-    @property
-    def root(self) -> int:
-        return 0
-
-    def label(self, handle: int) -> Node:
-        return self.labels[handle]
-
-    def has_left(self, handle: int) -> bool:
-        return bool(self.children[handle])
-
-    def left(self, handle: int) -> int:
-        return self.children[handle][0]
-
-    def right(self, handle: int) -> int:
-        return self.children[handle][1]
 
 
 def _build(kind, n, root, child_fn):

@@ -2,17 +2,18 @@
 
 Three traversals produce the same visit sequence:
 
-* `inorder_generic` -- textbook stack-based inorder over any strict binary
-  tree (every non-leaf node is pushed once);
+* `inorder_generic` -- textbook stack-based inorder that steps with
+  `ptree`'s two child rules (every non-leaf node is pushed once);
 * `inorder_v1` -- specialized to the partition binary tree: nodes (x, y)
   with 2x > y root subtrees whose shape is known in advance, so only nodes
   with 2x <= y are pushed;
 * `inorder_v2` -- pushes only nodes with 3x <= y, walking the two known
   subtree shapes below a 2x <= y node inline.
 
-Within a run the child steps are pure arithmetic on (x, y): left child is
-(x, y - x), right child is (x + 1, y - 1) with the sum x + y invariant, and
-a leaf reached along the right spine is reconstructed as (x + y, 0).
+All three take n and start at the root (1, n - 1).  Within a run of the
+specialized two the child steps are pure arithmetic on (x, y): left child
+is (x, y - x), right child is (x + 1, y - 1) with the sum x + y invariant,
+and a leaf reached along the right spine is reconstructed as (x + y, 0).
 
 The visitor is a plain callback ``visit(x, y)``; pass None to traverse for
 the counters alone.  Counters follow the convention in `counters` and, as
@@ -53,40 +54,13 @@ def _stats(assignments, bool_evals, visits, **loops) -> TraversalStats:
     return TraversalStats(ops=ops, loops=loops)
 
 
-class FormulaStrictTree:
-    """Strict-binary-tree view computed from the child formulas.
+def inorder_generic(n: int, visit=None) -> TraversalStats:
+    """Textbook stack-based inorder traversal of the binary tree of n.
 
-    Handles are plain (x, y) tuples; no storage, so any n is fine.  Presents
-    the same accessor surface as a materialized `ptree.Tree` of kind "binary".
-    """
-
-    kind = "binary"
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise DomainError(f"n must be >= 1, got {n}")
-        self.n = n
-        self.root = (1, n - 1)
-
-    @staticmethod
-    def label(handle):
-        return handle
-
-    @staticmethod
-    def has_left(handle):
-        return handle[1] > 0
-
-    left = staticmethod(strict_left_child)
-    right = staticmethod(strict_right_child)
-
-
-def inorder_generic(tree, visit=None) -> TraversalStats:
-    """Stack-based inorder traversal of a strict binary tree.
-
-    ``tree`` is a materialized `ptree.Tree` of kind "binary" or a
-    `FormulaStrictTree`.  Every node with a left child is pushed exactly
-    once, so pushes = pops = (number of non-leaf nodes).  With O outer and
-    D descent passes:
+    Starts at the root (1, n - 1) and steps with `ptree`'s child rules; a
+    node is a leaf when y = 0.  Every node with a left child is pushed
+    exactly once, so pushes = pops = (number of non-leaf nodes).  With O
+    outer and D descent passes:
 
     ============  ==============
     assignments   2 + O + D
@@ -96,27 +70,26 @@ def inorder_generic(tree, visit=None) -> TraversalStats:
     visits        2O - 1
     ============  ==============
     """
-    if getattr(tree, "kind", None) != "binary":
-        raise DomainError("inorder_generic requires a strict binary tree")
-    label, has_left, left, right = tree.label, tree.has_left, tree.left, tree.right
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
     stack = []
     push, pop = stack.append, stack.pop
-    v = tree.root
+    v = (1, n - 1)
     c = True
     outer = descent = 0
     while c:
         outer += 1
-        while has_left(v):
+        while v[1] > 0:
             descent += 1
             push(v)
-            v = left(v)
+            v = strict_left_child(v)
         if visit is not None:
-            visit(*label(v))
+            visit(*v)
         if stack:
             v = pop()
             if visit is not None:
-                visit(*label(v))
-            v = right(v)
+                visit(*v)
+            v = strict_right_child(v)
         else:
             c = False
     return _stats(2 + outer + descent, 1 + 3 * outer + descent, 2 * outer - 1,

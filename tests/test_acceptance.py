@@ -12,7 +12,6 @@ import io
 import pytest
 
 from ascpart import (
-    FormulaStrictTree,
     bench_table,
     budget_violations,
     build_strict_tree,
@@ -100,7 +99,7 @@ def _visit_bytes(run):
 def test_criterion_05_traversal_counters(ctx):
     for n in range(2, 61):
         p = ctx.partition_count(n)
-        ref, sg = _visit_bytes(lambda v, n=n: inorder_generic(FormulaStrictTree(n), v))
+        ref, sg = _visit_bytes(lambda v, n=n: inorder_generic(n, v))
         one, s1 = _visit_bytes(lambda v, n=n: inorder_v1(n, v))
         two, s2 = _visit_bytes(lambda v, n=n: inorder_v2(n, v))
         assert ref == one == two, f"visit sequences differ at n={n}"

@@ -64,13 +64,12 @@ def test_strict_tree_of_six():
     assert tree.node_count == 21
     assert tree.leaf_count == 11
     assert tree.labels[0] == (1, 5)
-    for i, label in enumerate(tree.labels):
-        kids = tree.children[i]
-        if label.y == 0:
-            assert kids == []
-        else:
-            got = [tree.labels[j] for j in kids]
-            assert got == [strict_left_child(label), strict_right_child(label)]
+    # kids are [left, right] by the child rules, or none at a leaf
+    for n in range(1, 26):
+        tree = build_strict_tree(n)
+        for label, kids in zip(tree.labels, tree.children):
+            rules = [strict_left_child(label), strict_right_child(label)] if label.y else []
+            assert [tree.labels[j] for j in kids] == rules, (n, label)
 
 
 def test_trivial_trees():

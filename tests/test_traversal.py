@@ -2,15 +2,7 @@
 
 import pytest
 
-from ascpart import (
-    DomainError,
-    FormulaStrictTree,
-    build_partition_tree,
-    build_strict_tree,
-    inorder_generic,
-    inorder_v1,
-    inorder_v2,
-)
+from ascpart import DomainError, inorder_generic, inorder_v1, inorder_v2
 
 
 def _sequence(run):
@@ -21,11 +13,10 @@ def _sequence(run):
 
 @pytest.mark.parametrize("n", range(1, 26))
 def test_visit_sequences_identical(ctx, n):
-    seq_ref, _ = _sequence(lambda v: inorder_generic(build_strict_tree(n), v))
-    seq_formula, _ = _sequence(lambda v: inorder_generic(FormulaStrictTree(n), v))
+    seq_ref, _ = _sequence(lambda v: inorder_generic(n, v))
     seq_one, _ = _sequence(lambda v: inorder_v1(n, v))
     seq_two, _ = _sequence(lambda v: inorder_v2(n, v))
-    assert seq_ref == seq_formula == seq_one == seq_two
+    assert seq_ref == seq_one == seq_two
     assert len(seq_ref) == 2 * ctx.partition_count(n) - 1
 
 
@@ -35,7 +26,7 @@ def test_stack_and_loop_tallies(ctx, n):
     d = ctx.p2_closed(n)
     r = ctx.p3_closed(n)
 
-    sg = inorder_generic(FormulaStrictTree(n))
+    sg = inorder_generic(n)
     assert sg.ops.pushes == sg.ops.pops == p - 1
     assert sg.loops["outer"] == p
     assert sg.ops.visits == 2 * p - 1
@@ -66,7 +57,7 @@ def test_six_exact_counts(ctx):
     # double-ratio(6) = 11 - 5 = 6, triple-ratio(6) = 11 - 5 - 3 + 1 = 4
     assert inorder_v1(6).ops.pushes == 5
     assert inorder_v2(6).ops.pushes == 3
-    assert inorder_generic(build_strict_tree(6)).ops.pushes == 10
+    assert inorder_generic(6).ops.pushes == 10
 
 
 def test_trivial_run():
@@ -76,7 +67,7 @@ def test_trivial_run():
     assert stats.ops.visits == 1
     seq, stats = _sequence(lambda v: inorder_v2(1, v))
     assert seq == [(1, 0)]
-    seq, stats = _sequence(lambda v: inorder_generic(FormulaStrictTree(1), v))
+    seq, stats = _sequence(lambda v: inorder_generic(1, v))
     assert seq == [(1, 0)]
 
 
@@ -85,17 +76,12 @@ def test_counter_invariants(ctx):
         p = ctx.partition_count(n)
         d = ctx.p2_closed(n)
         r = ctx.p3_closed(n)
-        runs = (inorder_generic(FormulaStrictTree(n)), inorder_v1(n), inorder_v2(n))
+        runs = (inorder_generic(n), inorder_v1(n), inorder_v2(n))
         expected = ((2 * p + 1, 4 * p), (p + d + 1, p + 4 * d), (p + r + 1, p + 5 * r))
         for stats, counts in zip(runs, expected):
             assert stats.ops.pushes == stats.ops.pops
             assert stats.ops.visits == 2 * p - 1
             assert (stats.ops.assignments, stats.ops.bool_evals) == counts, n
-
-
-def test_generic_rejects_non_strict_trees():
-    with pytest.raises(DomainError):
-        inorder_generic(build_partition_tree(6))
 
 
 def test_domain_errors():
@@ -104,4 +90,4 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         inorder_v2(-3)
     with pytest.raises(DomainError):
-        FormulaStrictTree(0)
+        inorder_generic(0)
