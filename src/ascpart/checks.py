@@ -81,22 +81,36 @@ def generation(ctx, n_max):
     return CheckResult(name, True)
 
 
+def _recurrence(ctx, n, m, t):
+    """count(t, n, m) read from the recurrence's own (t, m) column.
+
+    ``ratio_restricted_count`` may answer by the product form instead, so the
+    cross-check reads the column; outside 1 <= m <= n // (t + 1) the count is
+    a base case, 0 or 1, with no path to choose.
+    """
+    if m <= n // (t + 1):
+        return ctx._column((t, m), n)[n]
+    return ctx.ratio_restricted_count(n, m, t)
+
+
 def cross_paths(ctx, n_max):
-    """Euler's p, the sum and reduction paths and the closed forms agree with the recurrence."""
+    """Euler's p and the product, sum, reduction and closed-form paths match the recurrence."""
     bad = []
     for n in range(1, n_max + 1):
-        if ctx.partition_count(n) != ctx.restricted_count(n, 1):
+        if ctx.partition_count(n) != _recurrence(ctx, n, 1, 1):
             bad.append(f"pentagonal p({n}) vs p({n}, 1)")
         for t in (1, 2, 3, 4):
             for m in range(1, n // (t + 1) + 1):
-                want = ctx.ratio_restricted_count(n, m, t)
+                want = _recurrence(ctx, n, m, t)
+                if ctx._product_count(n, m, t) != want:
+                    bad.append(f"product path at ({n},{m},{t})")
                 if ctx.ratio_count_via_sum(n, m, t) != want:
                     bad.append(f"sum path at ({n},{m},{t})")
                 if t > 1 and ctx.ratio_count_via_reduction(n, m, t) != want:
                     bad.append(f"reduction path at ({n},{m},{t})")
-        if ctx.p2_closed(n) != ctx.ratio_count(n, 2):
+        if ctx.p2_closed(n) != _recurrence(ctx, n, 1, 2):
             bad.append(f"closed form t=2 at n={n}")
-        if ctx.p3_closed(n) != ctx.ratio_count(n, 3):
+        if ctx.p3_closed(n) != _recurrence(ctx, n, 1, 3):
             bad.append(f"closed form t=3 at n={n}")
     return _result(f"counting cross-paths (n <= {n_max})", bad)
 

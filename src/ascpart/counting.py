@@ -12,7 +12,7 @@ since a qualifying partition either uses the part ``m`` (strip one copy) or
 has every part >= m + 1, and a qualifying partition with two or more parts
 needs largest + second >= (t + 1) * smallest, so its smallest part is <= q.
 
-Everything else is a special case or consequence of that recurrence:
+Everything else is a special case of that count or another route to it:
 
 * ``p(n, m)`` -- partitions with parts >= m -- is the ``t = 1`` case, and
   ``p(n) = p(n, 1)``; ``p(n)`` itself is read from Euler's pentagonal-number
@@ -20,31 +20,46 @@ Everything else is a special case or consequence of that recurrence:
 * a sum form: count(t, n, m) = 1 + sum of count(t, n - k, k) for k = m .. q;
 * a reduction step count(t, n, m) = count(t-1, n, m) - count(t-1, n - t, m),
   peeling ``t`` down to 1 so the value is a signed combination of p(., m);
-* closed forms per n: double-ratio = p(n) - p(n-2) and
-  triple-ratio = p(n) - p(n-2) - p(n-3) + p(n-5), with p(k) = 0 for k < 0.
+* a product form (Andrews, *The Theory of Partitions*, ch. 1): for
+  m <= q, count(t, n, m) is the coefficient of x^n in
+
+      prod_{k=2..t} (1 - x^k) * prod_{k=1..m-1} (1 - x^k) * sum_j p(j) x^j,
+
+  that is sum_j c_j p(n - j) over the coefficients c of a finite product;
+* closed forms per n, the product form's m = 1 cases: double-ratio =
+  p(n) - p(n-2) and triple-ratio = p(n) - p(n-2) - p(n-3) + p(n-5), with
+  p(k) = 0 for k < 0; they hold for every n >= 1.
 
 The recurrence is filled bottom-up (no recursion), one column per ``(t, m)``:
 the column holds count(t, k, m) for 0 <= k <= L and costs O(L) ints.  It is
 swept down from the column of ``m = L // (t + 1) + 1``, where only base
-cases occur, one ``m`` at a time, in place: about L^2 / (2(t + 1)) big-int
-additions.  Every cost formula needs only p(n) and the closed forms over it,
-so the p column comes from Euler's recurrence instead, p(k) = sum of
-+-p(k - g) over the generalized pentagonal numbers g <= k, in about
-1.1 L^1.5 additions; it is cached beside the recurrence's columns.  The
-recurrence still serves p(n, m) for every m, m = 1 included, the ratio
-counts and the cross-checks.  A column too short for a query is rebuilt,
-doubling its length up to the cap, and never mutated once cached.  The sum
-path reads one column per term, so at large n it costs one column fill per
-``m``; it is a cross-check meant for n <= 60.  Values are plain Python ints,
-so arbitrary magnitudes stay exact; every subtraction along the closed forms
-and the reduction path is checked to be nonnegative.
+cases occur, one ``m`` at a time, in place: about (L / (t + 1) - m)^2 *
+(t + 1) / 2 big-int additions.  The p column comes from Euler's recurrence,
+p(k) = sum of +-p(k - g) over the generalized pentagonal numbers g <= k, in
+about 1.1 L^1.5 additions; it is cached beside the recurrence's columns.
+The product form reads that column: its coefficients are cut at degree
+D = min(n, sum of the factor degrees), so it costs about D * (m + t)
+operations, O(t^2) at m = 1, and caches nothing.
+
+``ratio_restricted_count`` answers from a cached (t, m) column that already
+reaches n; otherwise from whichever of the product, about n * (m + t), and
+a column fill, about (n / (t + 1) - m)^2 * (t + 1) / 2, is estimated to
+cost less.  At t = 1 the two cross near m = n / 7; small m and large t go to
+the product, m near n / (t + 1) to the recurrence.  The recurrence stays as
+the paper's path and as the reference the product is checked against.  A
+column too short for a query is rebuilt, doubling its length up to the cap,
+and never mutated once cached.  The sum path reads one count per term, so at
+large n it is a cross-check meant for n <= 60.  Values are plain Python
+ints, so arbitrary magnitudes stay exact; every subtraction along the closed
+forms and the reduction path is checked to be nonnegative.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from operator import add
+from itertools import chain
+from operator import add, mul, sub
 
 from .errors import CapacityError, DomainError
 
@@ -110,10 +125,13 @@ def _fill_column(t, m, length):
 class CountContext:
     """Memoized partition counts, one cached column per (ratio factor, minimum part).
 
-    ``partition_count`` and everything built on it (the closed forms, the
-    inequality scan) read one more column, p(k) from Euler's recurrence;
-    ``restricted_count`` at m = 1 still reads the minimum-part recurrence's
-    column, which cross-checks it.
+    ``partition_count`` reads one more column, p(k) from Euler's recurrence.
+    The product form reads it too: the closed forms and the inequality scan
+    always, ``ratio_restricted_count`` and ``restricted_count`` whenever no
+    cached (t, m) column reaches n and the product is estimated to cost less
+    than filling one.  The product builds its coefficient list afresh per
+    call, O(t^2) entries at m = 1, and caches nothing, so the columns are the
+    only shared state.
 
     A context may be shared between threads.  A column is built privately
     under a lock and published with one dict assignment; a published column
@@ -145,7 +163,11 @@ class CountContext:
             return col
 
     def ratio_restricted_count(self, n: int, m: int, t: int) -> int:
-        """Partitions of n with parts >= m and largest part >= t * second largest."""
+        """Partitions of n with parts >= m and largest part >= t * second largest.
+
+        Read from a cached (t, m) column that reaches n if there is one, else
+        by the product form or a column fill, whichever is estimated cheaper.
+        """
         if n < 1:
             raise DomainError(f"n must be >= 1, got {n}")
         _validate_nmt(n, m, t, self.cap)
@@ -153,7 +175,27 @@ class CountContext:
             return 0
         if m > n // (t + 1):
             return 1
+        col = self._columns.get((t, m))
+        if (col is None or len(col) <= n) and n * (m + t) < (n // (t + 1) - m) ** 2 * (t + 1) // 2:
+            return self._product_count(n, m, t)
         return self._column((t, m), n)[n]
+
+    def _product_count(self, n, m, t):
+        """sum_j c_j p(n - j), where c holds prod_{k=2..t} (1 - x^k) prod_{k=1..m-1} (1 - x^k).
+
+        That is count(t, n, m) for 1 <= m <= n // (t + 1), and the closed
+        forms at m = 1 for every n >= 0.  Terms of degree above n read p at
+        negative indices, which are 0, so c is cut at D = min(n, sum of the
+        factor degrees) and each factor of degree <= D is one slice update,
+        up to the degree the product so far reaches.
+        """
+        d = min(n, t * (t + 1) // 2 - 1 + m * (m - 1) // 2)
+        c = [1] + [0] * d
+        top = 0
+        for k in chain(range(1, min(m - 1, d) + 1), range(2, min(t, d) + 1)):
+            top = min(d, top + k)
+            c[k:top + 1] = map(sub, c[k:top + 1], c[:top + 1 - k])
+        return sum(map(mul, c, reversed(self._column(PENTAGONAL, n)[n - d:n + 1])))
 
     def ratio_count(self, n: int, t: int) -> int:
         """Partitions of n whose largest part is >= t times the second largest."""
@@ -214,18 +256,26 @@ class CountContext:
         return value
 
     def p2_closed(self, n: int) -> int:
-        """Closed form for the t = 2 ratio count: p(n) - p(n-2)."""
+        """Closed form for the t = 2 ratio count: p(n) - p(n-2).
+
+        The product form's m = 1 case, (1 - x^2) times the p series.
+        """
         if n < 1:
             raise DomainError(f"n must be >= 1, got {n}")
-        value = self._p(n) - self._p(n - 2)
+        _validate_nmt(n, 1, 2, self.cap)
+        value = self._product_count(n, 1, 2)
         assert value >= 0
         return value
 
     def p3_closed(self, n: int) -> int:
-        """Closed form for the t = 3 ratio count: p(n) - p(n-2) - p(n-3) + p(n-5)."""
+        """Closed form for the t = 3 ratio count: p(n) - p(n-2) - p(n-3) + p(n-5).
+
+        The product form's m = 1 case, (1 - x^2)(1 - x^3) times the p series.
+        """
         if n < 1:
             raise DomainError(f"n must be >= 1, got {n}")
-        value = self._p(n) - self._p(n - 2) - self._p(n - 3) + self._p(n - 5)
+        _validate_nmt(n, 1, 3, self.cap)
+        value = self._product_count(n, 1, 3)
         assert value >= 0
         return value
 

@@ -44,6 +44,11 @@ def _pentagonal_entry(k):
     (checks.generation, 8, checks, "ALGORITHMS", _stream(lambda s: s, extra=1), "alg 2"),
     (checks.cross_paths, 8, None, "p2_closed", _result(lambda v: v + 1), "closed form t=2"),
     (checks.cross_paths, 8, None, "_columns", _pentagonal_entry(5), "pentagonal p(5) vs p(5, 1)"),
+    # above the crossover, where ratio_restricted_count answers by the product
+    (checks.cross_paths, 45, None, "_columns", _pentagonal_entry(40),
+     "pentagonal p(40) vs p(40, 1)"),
+    (checks.cross_paths, 8, None, "_product_count", _result(lambda v: v + 1),
+     "product path at (2,1,1)"),
     (checks.op_counts, 8, checks, "verify_v3_counts",
      _result(lambda c: replace(c, actual_assignments=c.actual_assignments + 1)), "v3 at n=2"),
     (checks.trees, 8, checks, "build_strict_tree",  # the last node built is a leaf
@@ -52,7 +57,7 @@ def _pentagonal_entry(k):
     (checks.inequalities, 100, None, "check_inequalities",
      _result(lambda r: replace(r, dominance_violations=[7])), "[7]"),
 ], ids=["worked", "missing", "swapped", "extra", "miscounted", "closed-form", "pentagonal",
-        "op-counts", "tree", "inequality"])
+        "pentagonal-above-crossover", "product", "op-counts", "tree", "inequality"])
 def test_check_fails_on_defect(monkeypatch, check, n_max, target, name, defect, names):
     ctx = CountContext()
     assert check(ctx, n_max).ok

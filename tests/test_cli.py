@@ -42,6 +42,18 @@ def test_count_ratio(capsys):
     assert code == 0 and out == "7\n"
 
 
+@pytest.mark.parametrize("option, value", [
+    # the frozen values of test_counting.test_values_at_the_cap
+    (("--ratio-t", "3"),
+     "311979970879687292161119344116970547012907367565064585282875096108297166"),
+    (("--min-part", "7"),
+     "3128745025549526492129102370901601328975714501963533222694682669234"),
+])
+def test_count_at_the_cap(capsys, option, value):
+    code, out = run(capsys, "count", "5000", *option)
+    assert code == 0 and out == value + "\n"
+
+
 def test_generate_four(capsys):
     code, out = run(capsys, "generate", "4")
     assert code == 0

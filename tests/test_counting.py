@@ -28,8 +28,7 @@ def test_pentagonal_fill_is_the_recurrence_column():
 
 
 def test_partition_count_is_restricted_count_at_m1(ctx):
-    ctx.partition_count(5000)  # one fill of each column, not one per doubling
-    ctx.restricted_count(5000, 1)
+    ctx.partition_count(5000)  # one fill of the p column, not one per doubling
     assert ([ctx.partition_count(n) for n in range(5001)]
             == [ctx.restricted_count(n, 1) for n in range(5001)])
 
@@ -55,6 +54,27 @@ def test_values_at_the_cap(ctx):
         311979970879687292161119344116970547012907367565064585282875096108297166)
     assert ctx.restricted_count(5000, 7) == (
         3128745025549526492129102370901601328975714501963533222694682669234)
+
+
+def test_product_matches_recurrence_exhaustively(ctx):
+    # every in-domain (n, m, t) with n <= 200 and t <= 8; a column filled to
+    # 200 holds count(t, n, m) at every n <= 200, as _fill_column(t, m, n) does
+    triples = 0
+    for t in range(1, 9):
+        for m in range(1, 200 // (t + 1) + 1):
+            col = _fill_column(t, m, 200)
+            for n in range((t + 1) * m, 201):
+                assert ctx._product_count(n, m, t) == col[n], (n, m, t)
+                triples += 1
+    assert triples == 36146
+
+
+@pytest.mark.parametrize("m, by_recurrence", [(650, False), (714, True), (780, True)])
+def test_restricted_count_on_both_sides_of_the_crossover(m, by_recurrence):
+    # at n = 5000, t = 1 the product and the column fill cost the same near m = 670
+    ctx = CountContext()
+    assert ctx.restricted_count(5000, m) == _fill_column(1, m, 5000)[5000]
+    assert ((1, m) in ctx._columns) == by_recurrence
 
 
 def test_restricted_count_worked_values(ctx):
@@ -171,7 +191,10 @@ def test_memo_reproducible(ctx):
     # different columns, and the pentagonal p column grows from 700 to 1500 meanwhile
     [("partition_count", 700), ("partition_count", 1500),
      ("ratio_count", 1500, 3), ("restricted_count", 1500, 7)],
-], ids=["one-column", "growing-column"])
+    # the product path, which reads the p column, beside a recurrence column fill
+    [("restricted_count", 1500, 7), ("restricted_count", 1500, 400),
+     ("ratio_count", 1500, 3), ("partition_count", 700)],
+], ids=["one-column", "growing-column", "mixed-paths"])
 def test_concurrent_queries_on_fresh_context(queries):
     want = [getattr(CountContext(), name)(*args) for name, *args in queries]
     ctx = CountContext()
