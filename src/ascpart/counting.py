@@ -16,7 +16,8 @@ Everything else is a special case of that count or another route to it:
 
 * ``p(n, m)`` -- partitions with parts >= m -- is the ``t = 1`` case, and
   ``p(n) = p(n, 1)``; ``p(n)`` itself is read from Euler's pentagonal-number
-  recurrence instead, which the ``m = 1`` column cross-checks;
+  recurrence instead, and the recurrence's ``m = 1`` column cross-checks it
+  only in ``checks.cross_paths`` and the tests;
 * a sum form: count(t, n, m) = 1 + sum of count(t, n - k, k) for k = m .. q;
 * a reduction step count(t, n, m) = count(t-1, n, m) - count(t-1, n - t, m),
   peeling ``t`` down to 1 so the value is a signed combination of p(., m);
@@ -38,20 +39,25 @@ cases occur, one ``m`` at a time, in place: about (L / (t + 1) - m)^2 *
 p(k) = sum of +-p(k - g) over the generalized pentagonal numbers g <= k, in
 about 1.1 L^1.5 additions; it is cached beside the recurrence's columns.
 The product form reads that column: its coefficients are cut at degree
-D = min(n, sum of the factor degrees), so it costs about D * (m + t)
-operations, O(t^2) at m = 1, and caches nothing.
+D = min(n, sum of the factor degrees), so it costs at most about n * (m + t)
+big-int subtractions, O(t^2) at m = 1, and caches nothing.
 
-``ratio_restricted_count`` answers from a cached (t, m) column that already
-reaches n; otherwise from whichever of the product, about n * (m + t), and
-a column fill, about (n / (t + 1) - m)^2 * (t + 1) / 2, is estimated to
-cost less.  At t = 1 the two cross near m = n / 7; small m and large t go to
-the product, m near n / (t + 1) to the recurrence.  The recurrence stays as
-the paper's path and as the reference the product is checked against.  A
-column too short for a query is rebuilt, doubling its length up to the cap,
-and never mutated once cached.  The sum path reads one count per term, so at
-large n it is a cross-check meant for n <= 60.  Values are plain Python
-ints, so arbitrary magnitudes stay exact; every subtraction along the closed
-forms and the reduction path is checked to be nonnegative.
+``ratio_restricted_count`` answers by the product when
+3 n (m + t) < 2 (t + 1) (q - m)^2, and by the (t, m) column otherwise.  The
+weights are fitted to timings of both paths (CPython 3.11, 2-CPU Linux
+host), where a unit of either side took about 15 ns.  At n = 5000 the paths
+cross near m = 780 for t = 1 (n / 6.4), 520 for t = 2, 390 for t = 3 and
+195 for t = 8; the rule switches at 785, 522, 391 and 170.  Near the
+crossover it can pick the slower path, by at most 9 ms among the points
+timed with n >= 1000; far from it the gap is wide: at n = 5000, t = 1 the
+product takes 0.001 s at m = 50 against 0.35 s for the fill, and 0.44 s at
+m = 2250 against 0.007 s.  The recurrence stays as the paper's path and as
+the reference the product is checked against.  A column too short for a
+query is rebuilt, doubling its length up to the cap, and never mutated once
+cached.  The sum path reads one count per term, so at large n it is a
+cross-check meant for n <= 60.  Values are plain Python ints, so arbitrary
+magnitudes stay exact; every subtraction along the closed forms and the
+reduction path is checked to be nonnegative.
 """
 
 from __future__ import annotations
@@ -127,11 +133,10 @@ class CountContext:
 
     ``partition_count`` reads one more column, p(k) from Euler's recurrence.
     The product form reads it too: the closed forms and the inequality scan
-    always, ``ratio_restricted_count`` and ``restricted_count`` whenever no
-    cached (t, m) column reaches n and the product is estimated to cost less
-    than filling one.  The product builds its coefficient list afresh per
-    call, O(t^2) entries at m = 1, and caches nothing, so the columns are the
-    only shared state.
+    always, ``ratio_restricted_count`` and ``restricted_count`` whenever its
+    cost rule (see the module docstring) ranks it below a column fill.  The
+    product builds its coefficient list afresh per call, O(t^2) entries at
+    m = 1, and caches nothing, so the columns are the only shared state.
 
     A context may be shared between threads.  A column is built privately
     under a lock and published with one dict assignment; a published column
@@ -165,8 +170,9 @@ class CountContext:
     def ratio_restricted_count(self, n: int, m: int, t: int) -> int:
         """Partitions of n with parts >= m and largest part >= t * second largest.
 
-        Read from a cached (t, m) column that reaches n if there is one, else
-        by the product form or a column fill, whichever is estimated cheaper.
+        By the product form or the (t, m) column, whichever the measured cost
+        rule ranks cheaper for (n, m, t); a cached column does not change the
+        choice.
         """
         if n < 1:
             raise DomainError(f"n must be >= 1, got {n}")
@@ -175,8 +181,7 @@ class CountContext:
             return 0
         if m > n // (t + 1):
             return 1
-        col = self._columns.get((t, m))
-        if (col is None or len(col) <= n) and n * (m + t) < (n // (t + 1) - m) ** 2 * (t + 1) // 2:
+        if 3 * n * (m + t) < 2 * (t + 1) * (n // (t + 1) - m) ** 2:
             return self._product_count(n, m, t)
         return self._column((t, m), n)[n]
 

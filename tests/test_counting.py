@@ -69,9 +69,9 @@ def test_product_matches_recurrence_exhaustively(ctx):
     assert triples == 36146
 
 
-@pytest.mark.parametrize("m, by_recurrence", [(650, False), (714, True), (780, True)])
+@pytest.mark.parametrize("m, by_recurrence", [(714, False), (780, False), (1000, True)])
 def test_restricted_count_on_both_sides_of_the_crossover(m, by_recurrence):
-    # at n = 5000, t = 1 the product and the column fill cost the same near m = 670
+    # at n = 5000, t = 1 the cost rule switches to the column fill at m = 785
     ctx = CountContext()
     assert ctx.restricted_count(5000, m) == _fill_column(1, m, 5000)[5000]
     assert ((1, m) in ctx._columns) == by_recurrence
@@ -147,6 +147,18 @@ def test_closed_forms(ctx):
     for n in range(1, 301):
         assert ctx.p2_closed(n) == ctx.ratio_count(n, 2)
         assert ctx.p3_closed(n) == ctx.ratio_count(n, 3)
+
+
+def test_public_counts_match_the_recurrence_columns(ctx):
+    # from n of about 12 on, the closed forms and ratio_count(n, 2 | 3 | 4)
+    # all answer by the product, and restricted_count(n, 1) reads p(n), so the
+    # identities around this test compare that path with itself; here the
+    # recurrence's own columns are the reference
+    for t in (2, 3, 4):
+        assert [ctx.ratio_count(n, t) for n in range(1, 301)] == _fill_column(t, 1, 300)[1:]
+    assert [ctx.p2_closed(n) for n in range(1, 301)] == _fill_column(2, 1, 300)[1:]
+    assert [ctx.p3_closed(n) for n in range(1, 301)] == _fill_column(3, 1, 300)[1:]
+    assert [ctx.restricted_count(n, 1) for n in range(5001)] == _fill_column(1, 1, 5000)
 
 
 def test_ratio_peel_identity(ctx):
