@@ -36,7 +36,6 @@ from .generate import (
 from .oracle import ORACLE_CAP, brute_compositions, brute_ratio_count, has_ratio_property
 from .ptree import (
     MATERIALIZE_CAP,
-    Node,
     Tree,
     build_partition_tree,
     build_strict_tree,
@@ -64,7 +63,6 @@ __all__ = [
     "DomainError",
     "InequalityReport",
     "MATERIALIZE_CAP",
-    "Node",
     "OpCounters",
     "ORACLE_CAP",
     "RatioRecord",

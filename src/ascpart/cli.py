@@ -124,8 +124,8 @@ def _int_list(text):
         values = [int(part) for part in text.split(",") if part != ""]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
-    if any(v < 1 for v in values):
-        raise argparse.ArgumentTypeError("all n must be >= 1")
+    if any(v < 2 for v in values):
+        raise argparse.ArgumentTypeError("all n must be >= 2")
     if not values:
         raise argparse.ArgumentTypeError(f"no n given in {text!r}")
     return values
@@ -163,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_tree)
 
     p = sub.add_parser("ratios", help="CSV of theoretical cost ratios")
-    p.add_argument("--max-n", type=int, default=1500)
+    p.add_argument("--max-n", type=_at_least(2), default=1500)
     p.add_argument("--out", default=None, metavar="PATH")
     p.set_defaults(func=_cmd_ratios)
 

@@ -16,25 +16,20 @@ The partition tree of n has 2 p(n) nodes and p(n) leaves; the binary tree
 has 2 p(n) - 1 nodes and the same leaves.  Materialization is a testing and
 visualization tool only, so n is guarded; the traversal and generation
 modules use the child formulas directly and never allocate trees.  A built
-`Tree` is plain data, labels and child index lists, read by `to_dot`, the
-path tools and `checks.trees`.  The child functions take and return plain
-(x, y) tuples; only the builders wrap the labels they store as `Node`.
+`Tree` is plain data, read by `to_dot`, the path tools and `checks.trees`:
+its labels are the plain (x, y) tuples the child functions return, and its
+children are per-node index lists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 from .errors import CapacityError, DomainError
 
 # p(40) = 37338 keeps arenas comfortably small.
 MATERIALIZE_CAP = 40
-
-
-class Node(NamedTuple):
-    x: int
-    y: int
 
 
 def tree_children(parent: tuple[int, int]) -> list[tuple[int, int]]:
@@ -70,7 +65,7 @@ class Tree:
 
     kind: str  # "partition" or "binary"
     n: int
-    labels: list[Node]
+    labels: list[tuple[int, int]]
     children: list[list[int]]
 
     @property
@@ -83,18 +78,18 @@ class Tree:
 
 
 def _build(kind, n, root, child_fn):
-    labels = [Node._make(root)]
+    labels = [root]
     children: list[list[int]] = [[]]
     stack = [0]
     while stack:
         i = stack.pop()
         node = labels[i]
-        if node.y == 0:
+        if node[1] == 0:
             continue
         kid_ids = []
         for kid in child_fn(node):
             kid_ids.append(len(labels))
-            labels.append(Node._make(kid))
+            labels.append(kid)
             children.append([])
         children[i] = kid_ids
         stack.extend(reversed(kid_ids))
@@ -121,10 +116,10 @@ def build_strict_tree(n: int) -> Tree:
     )
 
 
-def iter_root_to_leaf_paths(tree: Tree) -> Iterator[tuple[Node, ...]]:
+def iter_root_to_leaf_paths(tree: Tree) -> Iterator[tuple[tuple[int, int], ...]]:
     """Yield every root-to-leaf label path, children in stored order."""
     labels, children = tree.labels, tree.children
-    path: list[Node] = []
+    path: list[tuple[int, int]] = []
     stack = [(0, 0)]  # (node index, its depth)
     while stack:
         i, depth = stack.pop()
@@ -137,7 +132,7 @@ def iter_root_to_leaf_paths(tree: Tree) -> Iterator[tuple[Node, ...]]:
             yield tuple(path)
 
 
-def decode_path(path: Sequence[Node]) -> tuple[int, ...]:
+def decode_path(path: Sequence[tuple[int, int]]) -> tuple[int, ...]:
     """Ascending composition encoded by a root-to-leaf path of the binary tree.
 
     Keeps the leaf and every node whose successor on the path is its left
@@ -145,20 +140,21 @@ def decode_path(path: Sequence[Node]) -> tuple[int, ...]:
     """
     if not path:
         raise DomainError("empty path")
-    nodes = [Node(x, y) for x, y in path]
-    if nodes[0].x != 1:
+    nodes = [(x, y) for x, y in path]
+    if nodes[0][0] != 1:
         raise DomainError(f"path does not start at a root label: {nodes[0]!r}")
-    if nodes[-1].y != 0:
+    if nodes[-1][1] != 0:
         raise DomainError(f"path does not end at a leaf: {nodes[-1]!r}")
     parts = []
     for cur, nxt in zip(nodes, nodes[1:]):
-        if cur.y == 0:
+        x, y = cur
+        if y == 0:
             raise DomainError(f"interior node {cur!r} is a leaf")
         if nxt == strict_left_child(cur):
-            parts.append(cur.x)
+            parts.append(x)
         elif nxt != strict_right_child(cur):
             raise DomainError(f"{nxt!r} is not a child of {cur!r}")
-    parts.append(nodes[-1].x)
+    parts.append(nodes[-1][0])
     return tuple(parts)
 
 
@@ -169,8 +165,8 @@ def to_dot(tree: Tree) -> str:
     are "x,y", and edges follow child order, left before right.
     """
     lines = [f"digraph {tree.kind}_tree_{tree.n} {{"]
-    for i, node in enumerate(tree.labels):
-        lines.append(f'  {i} [label="{node.x},{node.y}"];')
+    for i, (x, y) in enumerate(tree.labels):
+        lines.append(f'  {i} [label="{x},{y}"];')
     for i, kids in enumerate(tree.children):
         for j in kids:
             lines.append(f"  {i} -> {j};")

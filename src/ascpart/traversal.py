@@ -15,12 +15,13 @@ specialized two the child steps are pure arithmetic on (x, y): left child
 is (x, y - x), right child is (x + 1, y - 1) with the sum x + y invariant,
 and a leaf reached along the right spine is reconstructed as (x + y, 0).
 
-The visitor is a plain callback ``visit(x, y)``; pass None to traverse for
-the counters alone.  Counters follow the convention in `counters` and, as
-in `generate`'s counted generators, each loop counts only its passes: the
-`OpCounters` are passes times the lines one pass runs, weighted as tabled in
-each docstring.  The passes are returned as `TraversalStats.loops`, because
-the exact push/visit/iteration counts are the point of three variants.
+The visitor is an optional callback ``visit(x, y)``, called at every
+visit; it defaults to a no-op, for a run that wants the counters alone.
+Counters follow the convention in `counters` and, as in `generate`'s
+counted generators, each loop counts only its passes: the `OpCounters` are
+passes times the lines one pass runs, weighted as tabled in each docstring.
+The passes are returned as `TraversalStats.loops`, because the exact
+push/visit/iteration counts are the point of three variants.
 """
 
 from __future__ import annotations
@@ -46,6 +47,10 @@ class TraversalStats:
     loops: dict[str, int]
 
 
+def _no_visit(x, y):
+    """The default visitor: the traversal runs for its counters alone."""
+
+
 def _stats(assignments, bool_evals, visits, **loops) -> TraversalStats:
     # Every descent pass pushes once; every outer pass but the last pops once.
     ops = OpCounters(assignments=assignments, bool_evals=bool_evals,
@@ -54,13 +59,14 @@ def _stats(assignments, bool_evals, visits, **loops) -> TraversalStats:
     return TraversalStats(ops=ops, loops=loops)
 
 
-def inorder_generic(n: int, visit=None) -> TraversalStats:
+def inorder_generic(n: int, visit=_no_visit) -> TraversalStats:
     """Textbook stack-based inorder traversal of the binary tree of n.
 
     Starts at the root (1, n - 1) and steps with `ptree`'s child rules; a
-    node is a leaf when y = 0.  Every node with a left child is pushed
-    exactly once, so pushes = pops = (number of non-leaf nodes).  With O
-    outer and D descent passes:
+    node is a leaf when y = 0.  Calls ``visit(x, y)`` at each node in
+    inorder, 2 p(n) - 1 calls in all.  Every node with a left child is
+    pushed exactly once, so pushes = pops = (number of non-leaf nodes).
+    With O outer and D descent passes:
 
     ============  ==============
     assignments   2 + O + D
@@ -83,12 +89,10 @@ def inorder_generic(n: int, visit=None) -> TraversalStats:
             descent += 1
             push(v)
             v = strict_left_child(v)
-        if visit is not None:
-            visit(*v)
+        visit(*v)
         if stack:
             v = pop()
-            if visit is not None:
-                visit(*v)
+            visit(*v)
             v = strict_right_child(v)
         else:
             c = False
@@ -96,11 +100,11 @@ def inorder_generic(n: int, visit=None) -> TraversalStats:
                   outer=outer, descent=descent)
 
 
-def inorder_v1(n: int, visit=None) -> TraversalStats:
+def inorder_v1(n: int, visit=_no_visit) -> TraversalStats:
     """Inorder traversal pushing only nodes with 2x <= y.
 
-    Counted as in `inorder_generic`, pushes and pops too, with P passes of
-    the pair loop:
+    Makes the same ``visit`` calls as `inorder_generic`.  Counted as in
+    `inorder_generic`, pushes and pops too, with P passes of the pair loop:
 
     ============  ==================
     assignments   2 + O + D + P
@@ -124,17 +128,14 @@ def inorder_v1(n: int, visit=None) -> TraversalStats:
             y -= x  # left child (x, y - x)
         while x <= y:
             pairs += 1
-            if visit is not None:
-                visit(y, 0)
-                visit(x, y)
+            visit(y, 0)
+            visit(x, y)
             x, y = x + 1, y - 1  # right child (x + 1, y - 1)
-        if visit is not None:
-            visit(x + y, 0)
+        visit(x + y, 0)
         if top >= 0:
             x, y = sx[top], sy[top]
             top -= 1
-            if visit is not None:
-                visit(x, y)
+            visit(x, y)
             x, y = x + 1, y - 1
         else:
             c = False
@@ -142,11 +143,12 @@ def inorder_v1(n: int, visit=None) -> TraversalStats:
                   2 * outer - 1 + 2 * pairs, outer=outer, descent=descent, pairs=pairs)
 
 
-def inorder_v2(n: int, visit=None) -> TraversalStats:
+def inorder_v2(n: int, visit=_no_visit) -> TraversalStats:
     """Inorder traversal pushing only nodes with 3x <= y.
 
-    Counted as in `inorder_generic`, pushes and pops too, with P passes of
-    the ``2 * x <= y`` loop, C of the right-chain loop and T of the tail loop:
+    Makes the same ``visit`` calls as `inorder_generic`.  Counted as in
+    `inorder_generic`, pushes and pops too, with P passes of the
+    ``2 * x <= y`` loop, C of the right-chain loop and T of the tail loop:
 
     ============  ==============================
     assignments   2 + O + D + 2P + C + T
@@ -170,33 +172,27 @@ def inorder_v2(n: int, visit=None) -> TraversalStats:
             y -= x
         while 2 * x <= y:
             pairs += 1
-            if visit is not None:
-                visit(y - x, 0)
-                visit(x, y - x)
+            visit(y - x, 0)
+            visit(x, y - x)
             p, q = x + 1, y - x - 1  # right child of (x, y - x)
             while p <= q:
                 chain += 1
-                if visit is not None:
-                    visit(q, 0)
-                    visit(p, q)
+                visit(q, 0)
+                visit(p, q)
                 p, q = p + 1, q - 1
-            if visit is not None:
-                visit(p + q, 0)
-                visit(x, y)
+            visit(p + q, 0)
+            visit(x, y)
             x, y = x + 1, y - 1
         while x <= y:
             tail += 1
-            if visit is not None:
-                visit(y, 0)
-                visit(x, y)
+            visit(y, 0)
+            visit(x, y)
             x, y = x + 1, y - 1
-        if visit is not None:
-            visit(x + y, 0)
+        visit(x + y, 0)
         if top >= 0:
             x, y = sx[top], sy[top]
             top -= 1
-            if visit is not None:
-                visit(x, y)
+            visit(x, y)
             x, y = x + 1, y - 1
         else:
             c = False

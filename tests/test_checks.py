@@ -65,3 +65,9 @@ def test_check_fails_on_defect(monkeypatch, check, n_max, target, name, defect, 
     monkeypatch.setattr(target, name, defect(getattr(target, name)))
     result = check(ctx, n_max)
     assert not result.ok and names in result.detail
+
+
+@pytest.mark.parametrize("n_max", range(1, 8))
+def test_inequalities_pass_below_the_last_equality(n_max):
+    # growth holds with equality for n <= 6, so short sweeps see fewer of them
+    assert checks.inequalities(CountContext(), n_max).ok

@@ -267,3 +267,16 @@ def test_usage_errors_exit_two(argv, tmp_path):
     with pytest.raises(SystemExit) as err:
         main([arg.format(missing=tmp_path / "missing") for arg in argv])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("bench", "--n", "5,1"), "argument --n: all n must be >= 2"),
+    (("ratios", "--max-n", "1"), "argument --max-n: must be >= 2, got 1"),
+])
+def test_lower_bounds_are_argparse_bounds(argv, message, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert err.value.code == 2
+    assert message in captured.err
+    assert captured.out == ""  # bench never reached its CSV header

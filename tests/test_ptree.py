@@ -7,7 +7,6 @@ import pytest
 from ascpart import (
     CapacityError,
     DomainError,
-    Node,
     build_partition_tree,
     build_strict_tree,
     decode_path,
@@ -21,12 +20,12 @@ from ascpart.oracle import brute_compositions
 
 
 def test_children_rule():
-    assert tree_children(Node(1, 6)) == [(1, 5), (2, 4), (3, 3), (6, 0)]
-    assert tree_children(Node(2, 3)) == [(3, 0)]
-    assert tree_children(Node(2, 4)) == [(2, 2), (4, 0)]
-    assert tree_children(Node(1, 1)) == [(1, 0)]
+    assert tree_children((1, 6)) == [(1, 5), (2, 4), (3, 3), (6, 0)]
+    assert tree_children((2, 3)) == [(3, 0)]
+    assert tree_children((2, 4)) == [(2, 2), (4, 0)]
+    assert tree_children((1, 1)) == [(1, 0)]
     with pytest.raises(DomainError):
-        tree_children(Node(5, 0))
+        tree_children((5, 0))
 
 
 def test_strict_child_rule():
@@ -42,12 +41,12 @@ def test_strict_child_rule():
         (3, 3): ((3, 0), (6, 0)),
     }
     for node, (left, right) in cases.items():
-        assert strict_left_child(Node(*node)) == left
-        assert strict_right_child(Node(*node)) == right
+        assert strict_left_child(node) == left
+        assert strict_right_child(node) == right
     with pytest.raises(DomainError):
-        strict_left_child(Node(3, 0))
+        strict_left_child((3, 0))
     with pytest.raises(DomainError):
-        strict_right_child(Node(3, 0))
+        strict_right_child((3, 0))
 
 
 def test_partition_tree_of_six():
@@ -55,6 +54,7 @@ def test_partition_tree_of_six():
     assert tree.node_count == 22
     assert tree.leaf_count == 11
     assert tree.labels[0] == (1, 6)
+    assert all(type(label) is tuple for label in tree.labels)
     root_kids = [tree.labels[i] for i in tree.children[0]]
     assert root_kids == [(1, 5), (2, 4), (3, 3), (6, 0)]
 
@@ -68,7 +68,7 @@ def test_strict_tree_of_six():
     for n in range(1, 26):
         tree = build_strict_tree(n)
         for label, kids in zip(tree.labels, tree.children):
-            rules = [strict_left_child(label), strict_right_child(label)] if label.y else []
+            rules = [strict_left_child(label), strict_right_child(label)] if label[1] else []
             assert [tree.labels[j] for j in kids] == rules, (n, label)
 
 
@@ -111,6 +111,8 @@ def test_decode_path_rejects_non_paths():
         decode_path([(1, 5), (1, 4)])  # does not end at a leaf
     with pytest.raises(DomainError):
         decode_path([(1, 5), (2, 2)])  # (2, 2) is not a child of (1, 5)
+    with pytest.raises(DomainError, match=r"^\(2, 0\) is not a child of \(1, 5\)$"):
+        decode_path([(1, 5), (2, 0)])
     with pytest.raises(DomainError):
         decode_path([(1, 0), (1, 0)])  # leaf in the interior
 
@@ -141,7 +143,7 @@ def test_partition_paths_spell_compositions():
     # root-to-leaf paths of the partition tree, x coordinates past the root
     for n in range(1, 21):
         tree = build_partition_tree(n)
-        spelled = sorted(tuple(node.x for node in path[1:])
+        spelled = sorted(tuple(node[0] for node in path[1:])
                          for path in iter_root_to_leaf_paths(tree))
         assert spelled == brute_compositions(n)
 
@@ -187,3 +189,55 @@ def test_dot_output():
 def test_dot_duplicate_labels_are_distinct_nodes():
     dot = to_dot(build_partition_tree(6))
     assert dot.count('[label="2,2"]') == 2
+
+
+PARTITION_TREE_4_DOT = """\
+digraph partition_tree_4 {
+  0 [label="1,4"];
+  1 [label="1,3"];
+  2 [label="2,2"];
+  3 [label="4,0"];
+  4 [label="1,2"];
+  5 [label="3,0"];
+  6 [label="1,1"];
+  7 [label="2,0"];
+  8 [label="1,0"];
+  9 [label="2,0"];
+  0 -> 1;
+  0 -> 2;
+  0 -> 3;
+  1 -> 4;
+  1 -> 5;
+  2 -> 9;
+  4 -> 6;
+  4 -> 7;
+  6 -> 8;
+}
+"""
+
+BINARY_TREE_4_DOT = """\
+digraph binary_tree_4 {
+  0 [label="1,3"];
+  1 [label="1,2"];
+  2 [label="2,2"];
+  3 [label="1,1"];
+  4 [label="3,0"];
+  5 [label="1,0"];
+  6 [label="2,0"];
+  7 [label="2,0"];
+  8 [label="4,0"];
+  0 -> 1;
+  0 -> 2;
+  1 -> 3;
+  1 -> 4;
+  2 -> 7;
+  2 -> 8;
+  3 -> 5;
+  3 -> 6;
+}
+"""
+
+
+def test_dot_output_of_four_in_full():
+    assert to_dot(build_partition_tree(4)) == PARTITION_TREE_4_DOT
+    assert to_dot(build_strict_tree(4)) == BINARY_TREE_4_DOT
