@@ -110,12 +110,15 @@ def bench_table(ns, reps: int, ctx: CountContext | None = None) -> list[BenchRow
     """One row per n: measured t1, t2, r = t1/t2, and theoretical r1, r2.
 
     All three generators must agree on the checksum for every n; that is a
-    correctness condition, so a mismatch raises.
+    correctness condition, so a mismatch raises.  The ratios are computed
+    first, so an n outside their domain (n < 2) raises `DomainError` before
+    any generator is timed.
     """
     if ctx is None:
         ctx = CountContext()
+    exact = [(n, r1_exact(n, ctx), r2_exact(n, ctx)) for n in ns]
     rows = []
-    for n in ns:
+    for n, r1, r2 in exact:
         rec1 = time_algorithm(n, "v1", 1)
         rec2 = time_algorithm(n, "v2", reps)
         rec3 = time_algorithm(n, "v3", reps)
@@ -127,8 +130,8 @@ def bench_table(ns, reps: int, ctx: CountContext | None = None) -> list[BenchRow
                              t1_ns=rec3.mean_ns,
                              t2_ns=rec2.mean_ns,
                              r=rec3.mean_ns / rec2.mean_ns,
-                             r1=r1_exact(n, ctx),
-                             r2=r2_exact(n, ctx),
+                             r1=r1,
+                             r2=r2,
                              checksum=rec2.checksum))
     return rows
 

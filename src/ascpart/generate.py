@@ -27,12 +27,17 @@ that read defined (the loop then exits).
 `gen_v2_counted` / `gen_v3_counted` are the same algorithms with operation
 tallies; their assignment and boolean-evaluation counts are exact functions
 of n (see `analysis`), which is what the instrumented variants exist to
-demonstrate.  They count each loop's passes, `gen_v2_counted` with one
-addition per pass and `gen_v3_counted` from the change in each inner loop's
-variable, and build the tallies at return as each loop's passes times the
-lines one pass executes; the per-loop weights are tabled in their
-docstrings.  The plain variants stay uninstrumented so timing runs are
-undistorted.
+demonstrate.  They count each loop's passes: the outer loop adds one per
+pass, and every other loop's passes are read off the change in a variable
+that the loop steps by one per pass.  The tallies are built at return as
+each loop's passes times the lines one pass executes; the per-loop weights
+are tabled in their docstrings.
+
+The plain variants return the number of compositions they emitted, counted
+the same way: each pass of an ``x <= y`` loop emits one composition and adds
+one to x, so an outer pass adds the change in x across its inner loops, plus
+one for its final visit.  That is a few additions per outer pass and none
+per visit; they keep no other tallies, so timing runs stay undistorted.
 """
 
 from __future__ import annotations
@@ -57,7 +62,11 @@ def _check_n(n, lo=1):
 
 
 def gen_v1(n: int, consumer) -> int:
-    """Generate ascending compositions of n; returns the number emitted."""
+    """Generate ascending compositions of n; returns the number emitted.
+
+    The count is x after the ``x <= y`` loop minus x before it, plus one for
+    the final visit, summed over the outer passes.
+    """
     _check_n(n)
     a = [0] * (n + 3)
     k = 0
@@ -70,20 +79,20 @@ def gen_v1(n: int, consumer) -> int:
             k += 1
             a[k] = x
             y -= x
+        count -= x
         while x <= y:
             k += 1
             a[k] = x
             k += 1
             a[k] = y
             consumer(a, k)
-            count += 1
             k -= 2
             x += 1
             y -= 1
+        count += x + 1
         k += 1
         a[k] = x + y
         consumer(a, k)
-        count += 1
         k -= 1
         if k > 0:
             y += x
@@ -97,7 +106,11 @@ def gen_v1(n: int, consumer) -> int:
 
 
 def gen_v2(n: int, consumer) -> int:
-    """Generate ascending compositions of n; returns the number emitted."""
+    """Generate ascending compositions of n; returns the number emitted.
+
+    Counted as in `gen_v1`: per outer pass, the change in x across the
+    ``x <= y`` loop plus one for the final visit.
+    """
     _check_n(n)
     a = [0] * (n + 3)
     k = 1
@@ -110,24 +123,30 @@ def gen_v2(n: int, consumer) -> int:
             y -= x
             k += 1
         t = k + 1
+        count -= x
         while x <= y:
             a[k] = x
             a[t] = y
             consumer(a, t)
-            count += 1
             x += 1
             y -= 1
+        count += x + 1
         y += x - 1
         a[k] = y + 1
         consumer(a, k)
-        count += 1
         k -= 1
         x = a[k] + 1
     return count
 
 
 def gen_v3(n: int, consumer) -> int:
-    """Generate ascending compositions of n; returns the number emitted."""
+    """Generate ascending compositions of n; returns the number emitted.
+
+    Counted as in `gen_v1`, with x running on from the ``2 * x <= y`` loop
+    into the ``x <= y`` loop, so the change in x spans both.  A pass of the
+    ``2 * x <= y`` loop also adds p - x, where its ``p <= q`` loop stopped:
+    one visit per ``p <= q`` pass and one for ``a[t] = y``.
+    """
     _check_n(n)
     a = [0] * (n + 3)
     k = 1
@@ -141,37 +160,35 @@ def gen_v3(n: int, consumer) -> int:
             k += 1
         t = k + 1
         u = k + 2
+        count -= x
         while 2 * x <= y:
             a[k] = x
             a[t] = x
             a[u] = y - x
             consumer(a, u)
-            count += 1
             p = x + 1
             q = y - p
             while p <= q:
                 a[t] = p
                 a[u] = q
                 consumer(a, u)
-                count += 1
                 p += 1
                 q -= 1
+            count += p - x
             a[t] = y
             consumer(a, t)
-            count += 1
             x += 1
             y -= 1
         while x <= y:
             a[k] = x
             a[t] = y
             consumer(a, t)
-            count += 1
             x += 1
             y -= 1
+        count += x + 1
         y += x - 1
         a[k] = y + 1
         consumer(a, k)
-        count += 1
         k -= 1
         x = a[k] + 1
     return count
@@ -258,44 +275,49 @@ def gen_v2_counted(n: int, consumer=None) -> OpCounters:
     """`gen_v2` with exact operation tallies; requires n >= 2.
 
     Assignments count executed assignment lines including the three
-    initializations; bool_evals counts loop-condition evaluations.  Each
-    loop counts its own passes (O outer, D descent, I of ``x <= y``), and
-    the tallies are those passes times the lines one pass executes:
+    initializations; bool_evals counts loop-condition evaluations.  With O
+    outer, D descent and I ``x <= y`` passes, the tallies are those passes
+    times the lines one pass executes:
 
     ============  ======================
     assignments   3 + 5O + 3D + 4I
     bool_evals    1 + 3O + D + I
     visits        O + I
     ============  ======================
+
+    Only the outer loop adds one per pass.  I is read off x, which gains one
+    per ``x <= y`` pass.  k gains one per descent pass and loses one per
+    outer pass, from 1 down to 0, so D = O - 1.
     """
     _check_n(n, lo=2)
     a = [0] * (n + 3)
     k = 1
     x = 1
     y = n - 1
-    outer = descent = inner = 0
+    outer = inner = 0
     while k > 0:
         outer += 1
         while 2 * x <= y:
-            descent += 1
             a[k] = x
             y -= x
             k += 1
         t = k + 1
+        inner -= x
         while x <= y:
-            inner += 1
             a[k] = x
             a[t] = y
             if consumer is not None:
                 consumer(a, t)
             x += 1
             y -= 1
+        inner += x
         y += x - 1
         a[k] = y + 1
         if consumer is not None:
             consumer(a, k)
         k -= 1
         x = a[k] + 1
+    descent = outer - 1
     return OpCounters(assignments=3 + 5 * outer + 3 * descent + 4 * inner,
                       bool_evals=1 + 3 * outer + descent + inner,
                       visits=outer + inner)
@@ -314,10 +336,8 @@ def gen_v3_counted(n: int, consumer=None) -> OpCounters:
     visits        O + 2P + S + T
     ============  ======================================
 
-    Only the outer loop adds one per pass; the others are read off their
-    loop variables.  Each pass adds one to x in the P and T loops and to p in
-    the S loop.  k gains one per descent pass and loses one per outer pass,
-    from 1 down to 0, so D = O - 1.
+    P, S and T are read off their loop variables: each pass adds one to x
+    in the P and T loops and to p in the S loop.  D = O - 1, as there.
     """
     _check_n(n, lo=2)
     a = [0] * (n + 3)

@@ -6,6 +6,7 @@ from statistics import mean, median
 import pytest
 
 from ascpart import DomainError, bench_table, r1_exact, r2_exact, time_algorithm, write_bench_csv
+from ascpart import bench
 from ascpart.bench import _Checksum
 
 
@@ -79,3 +80,11 @@ def test_bad_arguments():
         time_algorithm(10, "v9", 1)
     with pytest.raises(DomainError):
         time_algorithm(10, "v2", 0)
+
+
+def test_bench_table_checks_every_n_before_timing(monkeypatch):
+    calls = []
+    monkeypatch.setattr(bench, "time_algorithm", lambda *args: calls.append(args))
+    with pytest.raises(DomainError, match="got 1"):
+        bench_table([5, 1], reps=1)
+    assert calls == []

@@ -4,6 +4,7 @@ import pytest
 
 from ascpart import (
     ALGORITHMS,
+    COLLECT_CAP,
     CapacityError,
     DomainError,
     collect_compositions,
@@ -37,12 +38,13 @@ def test_matches_oracle(ctx, n):
 
 
 def test_returns_visit_count(ctx):
-    for n in (1, 2, 9, 25):
-        p = ctx.partition_count(n)
-        sink = lambda a, k: None
-        assert gen_v1(n, sink) == p
-        assert gen_v2(n, sink) == p
-        assert gen_v3(n, sink) == p
+    # the return value is derived from the loop variables, not counted per
+    # visit, so compare it with the consumer calls at every n up to the cap
+    for gen in (gen_v1, gen_v2, gen_v3):
+        for n in range(1, COLLECT_CAP + 1):
+            calls = []
+            returned = gen(n, lambda a, k: calls.append(k))
+            assert returned == len(calls) == ctx.partition_count(n), (gen.__name__, n)
 
 
 @pytest.mark.parametrize("gen", [gen_v1, gen_v2, gen_v3])
