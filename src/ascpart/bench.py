@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from statistics import mean, median
+from statistics import mean
 
 from .analysis import format_ratio, r1_exact, r2_exact
 from .counting import CountContext
@@ -60,14 +60,6 @@ class BenchRecord:
     def mean_ns(self) -> int:
         return round(mean(self.times_ns))
 
-    @property
-    def median_ns(self) -> int:
-        return round(median(self.times_ns))
-
-    @property
-    def min_ns(self) -> int:
-        return min(self.times_ns)
-
 
 def time_algorithm(n: int, algorithm: str, reps: int) -> BenchRecord:
     """Time one generator: warmup, then reps measured runs."""
@@ -103,7 +95,6 @@ class BenchRow:
     r: float
     r1: Fraction
     r2: Fraction
-    checksum: int
 
 
 def bench_table(ns, reps: int, ctx: CountContext | None = None) -> list[BenchRow]:
@@ -131,8 +122,7 @@ def bench_table(ns, reps: int, ctx: CountContext | None = None) -> list[BenchRow
                              t2_ns=rec2.mean_ns,
                              r=rec3.mean_ns / rec2.mean_ns,
                              r1=r1,
-                             r2=r2,
-                             checksum=rec2.checksum))
+                             r2=r2))
     return rows
 
 

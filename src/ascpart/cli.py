@@ -9,8 +9,9 @@ Subcommands::
     ratios [--max-n N] [--out PATH]           CSV n,r1,r2
     bench --n 20,30,40 [--reps R] [--out PATH]
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 130
-interrupted (Ctrl-C).  All output is plain ASCII text or CSV.
+Exit codes: 0 success, 1 verification failure, 2 usage error or failed
+write (a full device, say), 130 interrupted (Ctrl-C).  All output is plain
+ASCII text or CSV.
 """
 
 from __future__ import annotations
@@ -95,8 +96,13 @@ def _cmd_bench(args):
 
 def _cmd_verify(args):
     ctx = CountContext()
-    # the op-count check runs gen_v2_counted and gen_v3_counted for 2 <= n <= max_n
-    visits = 2 * sum(ctx.partition_count(n) for n in range(2, args.max_n + 1))
+    # the op-count check runs gen_v2_counted and gen_v3_counted for 2 <= n <= max_n;
+    # the sum stops once past the limit, before p(n) could pass the count cap
+    visits = 0
+    for n in range(2, args.max_n + 1):
+        visits += 2 * ctx.partition_count(n)
+        if visits > BENCH_MAX_VISITS:
+            break
     _check_visits("verify", visits, "ascpart.checks.battery")
     passed = total = 0
     for result in battery(ctx, args.max_n):
@@ -176,6 +182,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _drop_stdout():
+    """Send what stdout still buffers to devnull, so the interpreter's final
+    flush cannot fail again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -188,11 +201,16 @@ def main(argv=None) -> int:
         return 2  # unreachable; keeps type checkers content
     except BrokenPipeError:
         # The reader closed early, as ``ascpart generate 60 | head -1`` does;
-        # that is not a failure.  Send what is still buffered to devnull, so
-        # the interpreter's final flush cannot raise again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        # that is not a failure.
+        _drop_stdout()
         return 0
+    except OSError as exc:
+        # A write failed, as into a full device: the output is incomplete, so
+        # exit 2, as for an --out path that cannot be opened.
+        _drop_stdout()
+        target = getattr(args, "out", None) or "stdout"
+        print(f"ascpart: error: cannot write {target}: {exc.strerror}", file=sys.stderr)
+        return 2
     except KeyboardInterrupt:
         return 130  # 128 + SIGINT, as a shell reports it; no traceback
 

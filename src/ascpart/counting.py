@@ -43,19 +43,12 @@ D = min(n, sum of the factor degrees), so it costs at most about n * (m + t)
 big-int subtractions, O(t^2) at m = 1, and caches nothing.
 
 ``ratio_restricted_count`` answers by the product when
-3 n (m + t) < 2 (t + 1) (q - m)^2, and by the (t, m) column otherwise.  The
-weights are fitted to timings of both paths (CPython 3.11, 2-CPU Linux
-host), where a unit of either side took about 15 ns.  At n = 5000 the paths
-cross near m = 780 for t = 1 (n / 6.4), 520 for t = 2, 390 for t = 3 and
-195 for t = 8; the rule switches at 785, 522, 391 and 170.  Near the
-crossover it can pick the slower path, by at most 9 ms among the points
-timed with n >= 1000; far from it the gap is wide: at n = 5000, t = 1 the
-product takes 0.001 s at m = 50 against 0.35 s for the fill, and 0.44 s at
-m = 2250 against 0.007 s.  The recurrence stays as the paper's path and as
-the reference the product is checked against.  A column too short for a
-query is rebuilt, doubling its length up to the cap, and never mutated once
-cached.  The sum path reads one count per term, so at large n it is a
-cross-check meant for n <= 60.  Values are plain Python ints, so arbitrary
+3 n (m + t) < 2 (t + 1) (q - m)^2, and by the (t, m) column otherwise: the
+two cost estimates above, with weights fitted to timings of both paths.
+The recurrence stays as the paper's path and as the reference the product
+is checked against.  A column too short for a query is rebuilt, doubling its
+length up to the cap, and never mutated once cached.  The sum path reads one
+count per term, so at large n it is a cross-check meant for n <= 60.  Values are plain Python ints, so arbitrary
 magnitudes stay exact; every subtraction along the closed forms and the
 reduction path is checked to be nonnegative.
 """

@@ -24,14 +24,18 @@ that read defined (the loop then exits).
   with the rendered prefix kept across the lines that share it, in either
   order of parts; it is what ``ascpart generate`` prints.
 
-`gen_v2_counted` / `gen_v3_counted` are the same algorithms with operation
-tallies; their assignment and boolean-evaluation counts are exact functions
-of n (see `analysis`), which is what the instrumented variants exist to
-demonstrate.  They count each loop's passes: the outer loop adds one per
-pass, and every other loop's passes are read off the change in a variable
-that the loop steps by one per pass.  The tallies are built at return as
-each loop's passes times the lines one pass executes; the per-loop weights
-are tabled in their docstrings.
+`gen_v2_counted` / `gen_v3_counted` are the loops of `gen_v2` / `gen_v3`
+with operation tallies and without the visits: they take only n, emit
+nothing and return the tallies.  Every other statement stays, the array
+writes that only a visit would read included, since the tallies count them;
+a test compares each counted loop with its plain one statement by statement.
+Their assignment and boolean-evaluation counts are exact functions of n (see
+`analysis`), which is what the counted variants exist to demonstrate.  They
+count each loop's passes: the outer loop adds one per pass, and every other
+loop's passes are read off the change in a variable that the loop steps by
+one per pass.  The tallies are built at return as each loop's passes times
+the lines one pass executes; the per-loop weights are tabled in their
+docstrings.
 
 The plain variants return the number of compositions they emitted, counted
 the same way: each pass of an ``x <= y`` loop emits one composition and adds
@@ -271,13 +275,14 @@ def render_v3(n: int, descending: bool = False, limit: int | None = None):
         yield _join(lines, descending)
 
 
-def gen_v2_counted(n: int, consumer=None) -> OpCounters:
-    """`gen_v2` with exact operation tallies; requires n >= 2.
+def gen_v2_counted(n: int) -> OpCounters:
+    """`gen_v2`'s loop with exact operation tallies; requires n >= 2.
 
-    Assignments count executed assignment lines including the three
-    initializations; bool_evals counts loop-condition evaluations.  With O
-    outer, D descent and I ``x <= y`` passes, the tallies are those passes
-    times the lines one pass executes:
+    Nothing is emitted: a visit is a tally, and the array writes stay because
+    they are counted.  Assignments count executed assignment lines including
+    the three initializations; bool_evals counts loop-condition evaluations.
+    With O outer, D descent and I ``x <= y`` passes, the tallies are those
+    passes times the lines one pass executes:
 
     ============  ======================
     assignments   3 + 5O + 3D + 4I
@@ -306,15 +311,11 @@ def gen_v2_counted(n: int, consumer=None) -> OpCounters:
         while x <= y:
             a[k] = x
             a[t] = y
-            if consumer is not None:
-                consumer(a, t)
             x += 1
             y -= 1
         inner += x
         y += x - 1
         a[k] = y + 1
-        if consumer is not None:
-            consumer(a, k)
         k -= 1
         x = a[k] + 1
     descent = outer - 1
@@ -323,12 +324,12 @@ def gen_v2_counted(n: int, consumer=None) -> OpCounters:
                       visits=outer + inner)
 
 
-def gen_v3_counted(n: int, consumer=None) -> OpCounters:
-    """`gen_v3` with exact operation tallies; requires n >= 2.
+def gen_v3_counted(n: int) -> OpCounters:
+    """`gen_v3`'s loop with exact operation tallies; requires n >= 2.
 
-    Counted as in `gen_v2_counted`, with O outer and D descent passes, and
-    P, S and T passes of the ``2 * x <= y``, ``p <= q`` and final
-    ``x <= y`` loops:
+    Emits nothing and is counted as in `gen_v2_counted`, with O outer and D
+    descent passes, and P, S and T passes of the ``2 * x <= y``, ``p <= q``
+    and final ``x <= y`` loops:
 
     ============  ======================================
     assignments   3 + 6O + 3D + 8P + 4S + 4T
@@ -358,21 +359,15 @@ def gen_v3_counted(n: int, consumer=None) -> OpCounters:
             a[k] = x
             a[t] = x
             a[u] = y - x
-            if consumer is not None:
-                consumer(a, u)
             p = x + 1
             q = y - p
             while p <= q:
                 a[t] = p
                 a[u] = q
-                if consumer is not None:
-                    consumer(a, u)
                 p += 1
                 q -= 1
             shifts += p - x - 1
             a[t] = y
-            if consumer is not None:
-                consumer(a, t)
             x += 1
             y -= 1
         pairs += x
@@ -380,15 +375,11 @@ def gen_v3_counted(n: int, consumer=None) -> OpCounters:
         while x <= y:
             a[k] = x
             a[t] = y
-            if consumer is not None:
-                consumer(a, t)
             x += 1
             y -= 1
         tail += x
         y += x - 1
         a[k] = y + 1
-        if consumer is not None:
-            consumer(a, k)
         k -= 1
         x = a[k] + 1
     descent = outer - 1

@@ -124,6 +124,7 @@ def test_criterion_06_v2_operation_counts(ctx):
         ops = gen_v2_counted(n)
         assert ops.assignments == 4 * p + 4 * d, n
         assert ops.bool_evals == p + 3 * d, n
+        assert ops.visits == p, n
     assert gen_v2_counted(20).assignments == 3476
     assert gen_v2_counted(20).bool_evals == 1353
     _report("6 (gen_v2 instrumented counts exact, 2 <= n <= 60)")
@@ -136,6 +137,7 @@ def test_criterion_07_v3_operation_counts(ctx):
         ops = gen_v3_counted(n)
         assert ops.assignments == 4 * p + 5 * r, n
         assert ops.bool_evals == p + 4 * r, n
+        assert ops.visits == p, n
     assert gen_v3_counted(20).assignments == 3113
     assert gen_v3_counted(20).bool_evals == 1111
     _report("7 (gen_v3 instrumented counts exact, 2 <= n <= 60)")

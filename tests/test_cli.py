@@ -1,13 +1,17 @@
 """CLI integration: output, line protocols, exit codes."""
 
 import dataclasses
+import errno
 import os
 import signal
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ascpart
 import ascpart.checks
@@ -191,6 +195,24 @@ def test_interrupt_exits_130_quietly(command):
     assert proc.returncode == 130
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command, target", [
+    (("generate", "30"), "stdout"),
+    (("count", "5"), "stdout"),
+    (("bench", "--n", "5", "--reps", "1"), "stdout"),
+    (("ratios", "--max-n", "20", "--out", "/dev/full"), "/dev/full"),
+    (("tree", "6", "--kind", "binary", "--out", "/dev/full"), "/dev/full"),
+])
+def test_failed_write_exits_two_with_one_line(command, target):
+    argv, env = ascpart_command(*command)
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(argv, env=env, stdout=full, stderr=subprocess.PIPE,
+                              text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        f"ascpart: error: cannot write {target}: {os.strerror(errno.ENOSPC)}"]
+
+
 def test_tree_to_file(tmp_path, capsys):
     path = tmp_path / "six.dot"
     code, _ = run(capsys, "tree", "6", "--kind", "partition", "--out", str(path))
@@ -272,6 +294,8 @@ def test_usage_errors_exit_two(argv, tmp_path):
 @pytest.mark.parametrize("argv, message", [
     (("bench", "--n", "5,1"), "argument --n: all n must be >= 2"),
     (("ratios", "--max-n", "1"), "argument --max-n: must be >= 2, got 1"),
+    # the visit guard fires before p(n) reaches the count cap
+    (("verify", "--max-n", "90000"), "more than 1e+09; call ascpart.checks.battery"),
 ])
 def test_lower_bounds_are_argparse_bounds(argv, message, capsys):
     with pytest.raises(SystemExit) as err:
@@ -280,3 +304,47 @@ def test_lower_bounds_are_argparse_bounds(argv, message, capsys):
     assert err.value.code == 2
     assert message in captured.err
     assert captured.out == ""  # bench never reached its CSV header
+
+
+def _arg(lo, hi):
+    return st.integers(lo, hi).map(lambda v: [str(v)])
+
+
+def _opt(flag, values):
+    return st.just([]) | values.map(lambda v: [flag, *v])
+
+
+def _argv(*parts):
+    return st.tuples(*parts).map(lambda drawn: [arg for part in drawn for arg in part])
+
+
+# Each command with values on both sides of its bounds, kept small enough to
+# run in-process: options whose default is a long run are always given.
+_OUT = st.sampled_from([[], ["--out", "{dir}/out"], ["--out", "{dir}/missing/out"]])
+_N_LIST = st.lists(st.integers(0, 20), max_size=3).map(lambda ns: [",".join(map(str, ns))])
+ARGV = st.one_of(
+    _argv(st.just(["count"]), _arg(-1, 60), _opt("--min-part", _arg(0, 60)),
+          _opt("--ratio-t", _arg(0, 8))),
+    _argv(st.just(["generate"]), _arg(0, 60), _opt("--limit", _arg(0, 50)),
+          st.sampled_from([[], ["--descending"]])),
+    _argv(st.just(["verify", "--max-n"]), _arg(1, 12)),
+    _argv(st.just(["tree"]), _arg(0, 60), _opt("--kind", st.sampled_from([["partition"], ["binary"]])),
+          _OUT),
+    _argv(st.just(["ratios", "--max-n"]), _arg(1, 60), _OUT),
+    _argv(st.just(["bench"]), _opt("--n", _N_LIST), st.just(["--reps"]), _arg(0, 2), _OUT),
+    st.lists(st.sampled_from(["count", "tree", "7", "-1", "--limit", "--kind", "-h", "x"]),
+             max_size=3),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=ARGV)
+def test_any_argv_exits_with_a_code(argv, tmp_path_factory):
+    out_dir = tmp_path_factory.mktemp("argv")
+    argv = [arg.format(dir=out_dir) for arg in argv]
+    try:
+        with open(os.devnull, "w") as null, redirect_stdout(null), redirect_stderr(null):
+            code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 1, 2), argv
