@@ -4,100 +4,45 @@ Streaming generators that emit every partition of n in lexicographic order
 as a nondecreasing composition, the partition-tree machinery they come
 from, exact restricted-partition counting, instrumented operation-count
 verification, and a small benchmark harness.
+
+Each public name below is imported from its submodule on first access, so
+``import ascpart`` loads none of them and a caller pays only for what it uses.
 """
 
-from .analysis import (
-    CountCheck,
-    RatioRecord,
-    RatioScan,
-    budget_violations,
-    format_ratio,
-    r1_exact,
-    r2_exact,
-    ratio_table,
-    verify_v2_counts,
-    verify_v3_counts,
-    write_ratio_csv,
-)
-from .bench import BenchRecord, BenchRow, bench_table, time_algorithm, write_bench_csv
-from .counters import OpCounters
-from .counting import DEFAULT_CAP, CountContext, InequalityReport
-from .errors import AscpartError, CapacityError, DomainError
-from .generate import (
-    ALGORITHMS,
-    COLLECT_CAP,
-    collect_compositions,
-    gen_v1,
-    gen_v2,
-    gen_v2_counted,
-    gen_v3,
-    gen_v3_counted,
-)
-from .oracle import ORACLE_CAP, brute_compositions, brute_ratio_count, has_ratio_property
-from .ptree import (
-    MATERIALIZE_CAP,
-    Tree,
-    build_partition_tree,
-    build_strict_tree,
-    decode_path,
-    iter_root_to_leaf_paths,
-    strict_left_child,
-    strict_right_child,
-    to_dot,
-    tree_children,
-)
-from .traversal import TraversalStats, inorder_generic, inorder_v1, inorder_v2
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALGORITHMS",
-    "AscpartError",
-    "BenchRecord",
-    "BenchRow",
-    "COLLECT_CAP",
-    "CapacityError",
-    "CountCheck",
-    "CountContext",
-    "DEFAULT_CAP",
-    "DomainError",
-    "InequalityReport",
-    "MATERIALIZE_CAP",
-    "OpCounters",
-    "ORACLE_CAP",
-    "RatioRecord",
-    "RatioScan",
-    "TraversalStats",
-    "Tree",
-    "bench_table",
-    "brute_compositions",
-    "brute_ratio_count",
-    "budget_violations",
-    "build_partition_tree",
-    "build_strict_tree",
-    "collect_compositions",
-    "decode_path",
-    "format_ratio",
-    "gen_v1",
-    "gen_v2",
-    "gen_v2_counted",
-    "gen_v3",
-    "gen_v3_counted",
-    "has_ratio_property",
-    "inorder_generic",
-    "inorder_v1",
-    "inorder_v2",
-    "iter_root_to_leaf_paths",
-    "r1_exact",
-    "r2_exact",
-    "ratio_table",
-    "strict_left_child",
-    "strict_right_child",
-    "time_algorithm",
-    "to_dot",
-    "tree_children",
-    "verify_v2_counts",
-    "verify_v3_counts",
-    "write_bench_csv",
-    "write_ratio_csv",
-]
+# submodule -> the public names it defines
+_EXPORTS = {
+    "analysis": ("CountCheck", "RatioRecord", "RatioScan", "budget_violations",
+                 "format_ratio", "r1_exact", "r2_exact", "ratio_table",
+                 "verify_v2_counts", "verify_v3_counts", "write_ratio_csv"),
+    "bench": ("BenchRecord", "BenchRow", "bench_table", "time_algorithm", "write_bench_csv"),
+    "counters": ("OpCounters",),
+    "counting": ("DEFAULT_CAP", "CountContext", "InequalityReport"),
+    "errors": ("AscpartError", "CapacityError", "DomainError"),
+    "generate": ("ALGORITHMS", "COLLECT_CAP", "collect_compositions", "gen_v1", "gen_v2",
+                 "gen_v2_counted", "gen_v3", "gen_v3_counted"),
+    "oracle": ("ORACLE_CAP", "brute_compositions", "brute_ratio_count", "has_ratio_property"),
+    "ptree": ("MATERIALIZE_CAP", "Tree", "build_partition_tree", "build_strict_tree",
+              "decode_path", "iter_root_to_leaf_paths", "strict_left_child",
+              "strict_right_child", "to_dot", "tree_children"),
+    "traversal": ("TraversalStats", "inorder_generic", "inorder_v1", "inorder_v2"),
+}
+_SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_SUBMODULE)
+
+
+def __getattr__(name):
+    """Import the public `name` from its submodule and keep it here (PEP 562)."""
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_SUBMODULE[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -7,9 +7,10 @@ heavily on the interpreter and the machine; they are reported, never
 asserted.  The theoretical r1/r2 columns from `analysis` ride along in the
 CSV for comparison.
 
-Protocol: one untimed warmup run, then ``reps`` timed runs per algorithm,
-single-threaded.  r(n) = t1 / t2 where t1 is gen_v3's mean time and t2 is
-gen_v2's.
+Protocol, single-threaded: each algorithm gets one untimed warmup run, then
+gen_v2 and gen_v3 get ``reps`` timed runs each and gen_v1 a single one,
+used only for its checksum.  r(n) = t1 / t2 where t1 is gen_v3's mean time
+and t2 is gen_v2's.
 """
 
 from __future__ import annotations

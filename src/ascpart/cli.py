@@ -21,13 +21,8 @@ import os
 import sys
 from contextlib import nullcontext
 
-from .analysis import ratio_table, write_ratio_csv
-from .bench import bench_table, write_bench_csv
-from .checks import battery
-from .counting import CountContext
+# Each _cmd_* imports the submodules it runs, and no others.
 from .errors import AscpartError
-from .generate import render_v3
-from .ptree import build_partition_tree, build_strict_tree, to_dot
 
 
 # At a few hundred ns per visit, 10**9 visits is several minutes of bench
@@ -51,6 +46,8 @@ def _check_visits(command, visits, override):
 
 
 def _cmd_count(args):
+    from .counting import CountContext
+
     ctx = CountContext()
     if args.ratio_t is not None:
         value = ctx.ratio_restricted_count(args.n, args.min_part, args.ratio_t)
@@ -63,12 +60,16 @@ def _cmd_count(args):
 
 
 def _cmd_generate(args):
+    from .generate import render_v3
+
     # sys.stdout is looked up per call: callers swap it with redirect_stdout
     sys.stdout.writelines(render_v3(args.n, args.descending, args.limit))
     return 0
 
 
 def _cmd_tree(args):
+    from .ptree import build_partition_tree, build_strict_tree, to_dot
+
     build = build_partition_tree if args.kind == "partition" else build_strict_tree
     text = to_dot(build(args.n))
     with _open_out(args.out) as fh:
@@ -77,6 +78,9 @@ def _cmd_tree(args):
 
 
 def _cmd_ratios(args):
+    from .analysis import ratio_table, write_ratio_csv
+    from .counting import CountContext
+
     scan = ratio_table(args.max_n, CountContext())
     with _open_out(args.out) as fh:
         write_ratio_csv(scan, fh)
@@ -84,6 +88,9 @@ def _cmd_ratios(args):
 
 
 def _cmd_bench(args):
+    from .bench import bench_table, write_bench_csv
+    from .counting import CountContext
+
     ctx = CountContext()
     # bench_table runs gen_v1 twice and gen_v2 and gen_v3 reps + 1 times each
     visits = sum(ctx.partition_count(n) for n in args.n) * (2 * args.reps + 4)
@@ -95,6 +102,9 @@ def _cmd_bench(args):
 
 
 def _cmd_verify(args):
+    from .checks import battery
+    from .counting import CountContext
+
     ctx = CountContext()
     # the op-count check runs gen_v2_counted and gen_v3_counted for 2 <= n <= max_n;
     # the sum stops once past the limit, before p(n) could pass the count cap

@@ -50,7 +50,7 @@ is checked against.  A column too short for a query is rebuilt, doubling its
 length up to the cap, and never mutated once cached.  The sum path reads one
 count per term, so at large n it is a cross-check meant for n <= 60.  Values are plain Python ints, so arbitrary
 magnitudes stay exact; every subtraction along the closed forms and the
-reduction path is checked to be nonnegative.
+reduction path is checked to be nonnegative, raising ArithmeticError if not.
 """
 
 from __future__ import annotations
@@ -250,7 +250,8 @@ class CountContext:
         if m > n // (t + 1):
             return 1 if n == 0 or m <= n else 0
         value = self._reduce(t - 1, n, m) - self._reduce(t - 1, n - t, m)
-        assert value >= 0, f"reduction went negative at (t={t}, n={n}, m={m})"
+        if value < 0:
+            raise ArithmeticError(f"reduction went negative at (t={t}, n={n}, m={m})")
         return value
 
     def p2_closed(self, n: int) -> int:
@@ -262,7 +263,8 @@ class CountContext:
             raise DomainError(f"n must be >= 1, got {n}")
         _validate_nmt(n, 1, 2, self.cap)
         value = self._product_count(n, 1, 2)
-        assert value >= 0
+        if value < 0:
+            raise ArithmeticError(f"p2_closed went negative at n={n}")
         return value
 
     def p3_closed(self, n: int) -> int:
@@ -274,7 +276,8 @@ class CountContext:
             raise DomainError(f"n must be >= 1, got {n}")
         _validate_nmt(n, 1, 3, self.cap)
         value = self._product_count(n, 1, 3)
-        assert value >= 0
+        if value < 0:
+            raise ArithmeticError(f"p3_closed went negative at n={n}")
         return value
 
     def check_inequalities(self, n_max: int) -> "InequalityReport":

@@ -48,8 +48,10 @@ from __future__ import annotations
 
 import math
 
-from .counters import OpCounters
 from .errors import CapacityError, DomainError
+
+# The counted variants import OpCounters, named in their annotations, when
+# called: it loads dataclasses, which the plain generators do without.
 
 # Collector guard: materializing all compositions is for tests and small
 # demos only (p(45) = 89134 already).
@@ -294,6 +296,8 @@ def gen_v2_counted(n: int) -> OpCounters:
     per ``x <= y`` pass.  k gains one per descent pass and loses one per
     outer pass, from 1 down to 0, so D = O - 1.
     """
+    from .counters import OpCounters
+
     _check_n(n, lo=2)
     a = [0] * (n + 3)
     k = 1
@@ -340,6 +344,8 @@ def gen_v3_counted(n: int) -> OpCounters:
     P, S and T are read off their loop variables: each pass adds one to x
     in the P and T loops and to p in the S loop.  D = O - 1, as there.
     """
+    from .counters import OpCounters
+
     _check_n(n, lo=2)
     a = [0] * (n + 3)
     k = 1

@@ -1,5 +1,6 @@
 """Counting module: worked values, boundary conventions, path agreement."""
 
+import re
 import sys
 import threading
 from functools import lru_cache
@@ -147,6 +148,19 @@ def test_closed_forms(ctx):
     for n in range(1, 301):
         assert ctx.p2_closed(n) == ctx.ratio_count(n, 2)
         assert ctx.p3_closed(n) == ctx.ratio_count(n, 3)
+
+
+@pytest.mark.parametrize("method, args, message", [
+    ("p2_closed", (20,), "p2_closed went negative at n=20"),
+    ("p3_closed", (20,), "p3_closed went negative at n=20"),
+    ("ratio_count_via_reduction", (20, 1, 2), "reduction went negative at (t=2, n=20, m=1)"),
+], ids=["p2_closed", "p3_closed", "reduction"])
+def test_negative_count_raises(monkeypatch, method, args, message):
+    # -n makes p(20, 1) - p(18, 1) = -2 on the reduction path; under python -O
+    # a bare assert would let these values through
+    monkeypatch.setattr(CountContext, "_product_count", lambda self, n, m, t: -n)
+    with pytest.raises(ArithmeticError, match=re.escape(message)):
+        getattr(CountContext(), method)(*args)
 
 
 def test_public_counts_match_the_recurrence_columns(ctx):
