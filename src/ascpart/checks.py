@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from operator import length_hint
 
 from .analysis import verify_v2_counts, verify_v3_counts
+from .counting import _fill_column
 from .generate import ALGORITHMS
 from .oracle import brute_compositions
 from .ptree import build_partition_tree, build_strict_tree
@@ -81,37 +82,30 @@ def generation(ctx, n_max):
     return CheckResult(name, True)
 
 
-def _recurrence(ctx, n, m, t):
-    """count(t, n, m) read from the recurrence's own (t, m) column.
-
-    ``ratio_restricted_count`` may answer by the product form instead, so the
-    cross-check reads the column; outside 1 <= m <= n // (t + 1) the count is
-    a base case, 0 or 1, with no path to choose.
-    """
-    if m <= n // (t + 1):
-        return ctx._column((t, m), n)[n]
-    return ctx.ratio_restricted_count(n, m, t)
-
-
 def cross_paths(ctx, n_max):
-    """Euler's p and the product, sum, reduction and closed-form paths match the recurrence."""
+    """Euler's p, the closed forms, the served count and its other paths match the recurrence.
+
+    Each (t, m) column of the recurrence is filled here to ``n_max``, so that
+    it holds count(t, n, m) at every n <= n_max, and dropped before the next.
+    ``ratio_restricted_count`` may answer by the product form, and serves the
+    rest from the context's cached columns, so neither can give the reference.
+    """
+    entry_points = {1: (ctx.partition_count, "pentagonal p({n}) vs p({n}, 1)"),
+                    2: (ctx.p2_closed, "closed form t=2 at n={n}"),
+                    3: (ctx.p3_closed, "closed form t=3 at n={n}")}
+    paths = [("served count", ctx.ratio_restricted_count), ("product path", ctx._product_count),
+             ("sum path", ctx.ratio_count_via_sum),
+             ("reduction path", ctx.ratio_count_via_reduction)]
     bad = []
-    for n in range(1, n_max + 1):
-        if ctx.partition_count(n) != _recurrence(ctx, n, 1, 1):
-            bad.append(f"pentagonal p({n}) vs p({n}, 1)")
-        for t in (1, 2, 3, 4):
-            for m in range(1, n // (t + 1) + 1):
-                want = _recurrence(ctx, n, m, t)
-                if ctx._product_count(n, m, t) != want:
-                    bad.append(f"product path at ({n},{m},{t})")
-                if ctx.ratio_count_via_sum(n, m, t) != want:
-                    bad.append(f"sum path at ({n},{m},{t})")
-                if t > 1 and ctx.ratio_count_via_reduction(n, m, t) != want:
-                    bad.append(f"reduction path at ({n},{m},{t})")
-        if ctx.p2_closed(n) != _recurrence(ctx, n, 1, 2):
-            bad.append(f"closed form t=2 at n={n}")
-        if ctx.p3_closed(n) != _recurrence(ctx, n, 1, 3):
-            bad.append(f"closed form t=3 at n={n}")
+    for t in (1, 2, 3, 4):
+        for m in range(1, max(n_max // (t + 1), 1) + 1):
+            col = _fill_column(t, m, n_max)
+            for n in range(1, n_max + 1):
+                if m == 1 and t in entry_points and entry_points[t][0](n) != col[n]:
+                    bad.append(entry_points[t][1].format(n=n))
+                if m <= n // (t + 1):  # the reduction path needs t > 1
+                    bad += [f"{name} at ({n},{m},{t})" for name, path in paths[:3 + (t > 1)]
+                            if path(n, m, t) != col[n]]
     return _result(f"counting cross-paths (n <= {n_max})", bad)
 
 

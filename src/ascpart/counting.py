@@ -45,10 +45,12 @@ big-int subtractions, O(t^2) at m = 1, and caches nothing.
 ``ratio_restricted_count`` answers by the product when
 3 n (m + t) < 2 (t + 1) (q - m)^2, and by the (t, m) column otherwise: the
 two cost estimates above, with weights fitted to timings of both paths.
-The recurrence stays as the paper's path and as the reference the product
-is checked against.  A column too short for a query is rebuilt, doubling its
-length up to the cap, and never mutated once cached.  The sum path reads one
-count per term, so at large n it is a cross-check meant for n <= 60.  Values are plain Python ints, so arbitrary
+The recurrence stays as the paper's path and as the reference:
+``checks.cross_paths`` fills its own columns with ``_fill_column`` and checks
+every path against them, the served count included.  A column too short for
+a query is rebuilt, doubling its length up to the cap, and never mutated once
+cached.  The sum path reads one count per term, so at large n it is a
+cross-check meant for n <= 60.  Values are plain Python ints, so arbitrary
 magnitudes stay exact; every subtraction along the closed forms and the
 reduction path is checked to be nonnegative, raising ArithmeticError if not.
 """
@@ -254,31 +256,28 @@ class CountContext:
             raise ArithmeticError(f"reduction went negative at (t={t}, n={n}, m={m})")
         return value
 
+    def _closed(self, n, t):
+        if n < 1:
+            raise DomainError(f"n must be >= 1, got {n}")
+        _validate_nmt(n, 1, t, self.cap)
+        value = self._product_count(n, 1, t)
+        if value < 0:
+            raise ArithmeticError(f"p{t}_closed went negative at n={n}")
+        return value
+
     def p2_closed(self, n: int) -> int:
         """Closed form for the t = 2 ratio count: p(n) - p(n-2).
 
         The product form's m = 1 case, (1 - x^2) times the p series.
         """
-        if n < 1:
-            raise DomainError(f"n must be >= 1, got {n}")
-        _validate_nmt(n, 1, 2, self.cap)
-        value = self._product_count(n, 1, 2)
-        if value < 0:
-            raise ArithmeticError(f"p2_closed went negative at n={n}")
-        return value
+        return self._closed(n, 2)
 
     def p3_closed(self, n: int) -> int:
         """Closed form for the t = 3 ratio count: p(n) - p(n-2) - p(n-3) + p(n-5).
 
         The product form's m = 1 case, (1 - x^2)(1 - x^3) times the p series.
         """
-        if n < 1:
-            raise DomainError(f"n must be >= 1, got {n}")
-        _validate_nmt(n, 1, 3, self.cap)
-        value = self._product_count(n, 1, 3)
-        if value < 0:
-            raise ArithmeticError(f"p3_closed went negative at n={n}")
-        return value
+        return self._closed(n, 3)
 
     def check_inequalities(self, n_max: int) -> "InequalityReport":
         """Scan 1..n_max for violations of the two partition inequalities.

@@ -28,6 +28,7 @@ from ascpart import (
     write_bench_csv,
 )
 from ascpart import checks
+from ascpart.counting import _fill_column
 from ascpart.oracle import brute_compositions, has_ratio_property
 
 from test_analysis import REFERENCE_RATIOS
@@ -58,9 +59,10 @@ def test_criterion_02_worked_counts(ctx):
 
 
 def test_criterion_03_counting_paths_agree(ctx):
-    # recurrence = sum form = reduction = closed forms = brute force,
-    # exhaustively over n <= 60, m <= n, t in {1, 2, 3, 4}; the battery's
-    # check compares the other paths with the recurrence
+    # recurrence = served count = product = sum form = reduction = closed
+    # forms = brute force, exhaustively over n <= 60, m <= n, t in {1, 2, 3, 4};
+    # the battery's check compares the other paths with the recurrence, and
+    # past 60 the closed forms are compared with its columns directly
     _passes(checks.cross_paths, ctx, 60)
     for n in range(1, 61):
         for m in range(1, n + 1):
@@ -68,9 +70,10 @@ def test_criterion_03_counting_paths_agree(ctx):
             for t in (1, 2, 3, 4):
                 want = sum(1 for c in comps if has_ratio_property(c, t))
                 assert ctx.ratio_restricted_count(n, m, t) == want, (n, m, t)
-    for n in range(61, 301):
-        assert ctx.p2_closed(n) == ctx.ratio_count(n, 2), n
-        assert ctx.p3_closed(n) == ctx.ratio_count(n, 3), n
+    for t, closed in ((2, ctx.p2_closed), (3, ctx.p3_closed)):
+        col = _fill_column(t, 1, 300)
+        for n in range(61, 301):
+            assert closed(n) == col[n], (n, t)
     _report("3 (counting cross-paths agree, oracle to 60, closed forms to 300)")
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ascpart import (
+    DEFAULT_CAP,
     DomainError,
     budget_violations,
     format_ratio,
@@ -110,3 +111,17 @@ def test_write_ratio_csv(ctx):
     assert n == "6"
     assert one == format_ratio(r1_exact(6, ctx))
     assert two == format_ratio(r2_exact(6, ctx))
+
+
+def test_ratio_csv_rounds_as_the_exact_ratios(ctx):
+    # the CSV rounds each float ratio's repr, not the exact Fraction; up to the
+    # cap both round alike, here rendered the way perfbench/reference.py does
+    def five_decimals(value):
+        scaled = round(value * 100000)  # Fraction rounds half to even
+        return f"{scaled // 100000}.{scaled % 100000:05d}"
+
+    buf = io.StringIO()
+    write_ratio_csv(ratio_table(DEFAULT_CAP, ctx), buf)
+    assert buf.getvalue().splitlines() == ["n,r1,r2"] + [
+        f"{n},{five_decimals(r1_exact(n, ctx))},{five_decimals(r2_exact(n, ctx))}"
+        for n in range(2, DEFAULT_CAP + 1)]

@@ -67,6 +67,19 @@ def test_check_fails_on_defect(monkeypatch, check, n_max, target, name, defect, 
     assert not result.ok and names in result.detail
 
 
+def test_cached_column_defect_is_blamed_on_the_served_count():
+    # cross_paths fills its own reference columns, so a wrong cached column
+    # shows up as the count it serves, not as the paths that agree with the
+    # recurrence
+    ctx = CountContext()
+    assert checks.cross_paths(ctx, 30).ok
+    ctx._columns[(2, 3)][12] += 1
+    result = checks.cross_paths(ctx, 30)
+    assert not result.ok
+    assert "served count at (12,3,2)" in result.detail
+    assert "product path" not in result.detail
+
+
 @pytest.mark.parametrize("n_max", range(1, 8))
 def test_inequalities_pass_below_the_last_equality(n_max):
     # growth holds with equality for n <= 6, so short sweeps see fewer of them

@@ -28,12 +28,6 @@ def test_pentagonal_fill_is_the_recurrence_column():
         assert _fill_partition_numbers(length) == _fill_column(1, 1, length), length
 
 
-def test_partition_count_is_restricted_count_at_m1(ctx):
-    ctx.partition_count(5000)  # one fill of the p column, not one per doubling
-    assert ([ctx.partition_count(n) for n in range(5001)]
-            == [ctx.restricted_count(n, 1) for n in range(5001)])
-
-
 def test_partition_count_matches_enumeration(ctx):
     for n in range(1, 31):
         assert ctx.partition_count(n) == len(brute_compositions(n))
@@ -110,12 +104,6 @@ def test_ratio_count_base_region(ctx):
     assert ctx.ratio_restricted_count(9, 9, 4) == 1
 
 
-def test_t1_column_is_restricted_count(ctx):
-    for n in range(1, 40):
-        for m in range(1, n + 1):
-            assert ctx.ratio_restricted_count(n, m, 1) == ctx.restricted_count(n, m)
-
-
 def test_sum_form_worked_example(ctx):
     parts = [ctx.ratio_restricted_count(15 - k, k, 2) for k in (3, 4, 5)]
     assert parts == [4, 1, 1]
@@ -145,9 +133,6 @@ def test_closed_forms(ctx):
     assert ctx.p3_closed(5) == 3
     assert ctx.p2_closed(1) == 1
     assert ctx.p3_closed(1) == 1
-    for n in range(1, 301):
-        assert ctx.p2_closed(n) == ctx.ratio_count(n, 2)
-        assert ctx.p3_closed(n) == ctx.ratio_count(n, 3)
 
 
 @pytest.mark.parametrize("method, args, message", [
@@ -164,9 +149,9 @@ def test_negative_count_raises(monkeypatch, method, args, message):
 
 
 def test_public_counts_match_the_recurrence_columns(ctx):
-    # from n of about 12 on, the closed forms and ratio_count(n, 2 | 3 | 4)
-    # all answer by the product, and restricted_count(n, 1) reads p(n), so the
-    # identities around this test compare that path with itself; here the
+    # at m = 1 the cost rule answers by the product from n = 12, 21, 36 and 55
+    # for t = 1, 2, 3 and 4, and the closed forms always do, so comparing the
+    # public counts with each other compares that path with itself; here the
     # recurrence's own columns are the reference
     for t in (2, 3, 4):
         assert [ctx.ratio_count(n, t) for n in range(1, 301)] == _fill_column(t, 1, 300)[1:]
