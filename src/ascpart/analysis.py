@@ -30,7 +30,7 @@ from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 from .counting import CountContext
-from .errors import DomainError
+from .errors import DomainError, require_at_least
 from .generate import gen_v2_counted, gen_v3_counted
 
 
@@ -121,8 +121,7 @@ class RatioScan:
 
 def ratio_table(n_max: int, ctx: CountContext) -> RatioScan:
     """Ratio records for 2 <= n <= n_max plus the argmin of each column."""
-    if n_max < 2:
-        raise DomainError(f"n_max must be >= 2, got {n_max}")
+    require_at_least(n_max, 2, "n_max")
     ctx.partition_count(n_max)  # one fill of the p column, not one per doubling
     records = []
     violations = []

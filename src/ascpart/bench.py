@@ -23,7 +23,7 @@ from statistics import mean
 
 from .analysis import format_ratio, r1_exact, r2_exact
 from .counting import CountContext
-from .errors import DomainError
+from .errors import DomainError, require_at_least
 from .generate import ALGORITHMS
 
 _ALGS = {f"v{k}": g for k, g in ALGORITHMS.items()}
@@ -66,8 +66,7 @@ def time_algorithm(n: int, algorithm: str, reps: int) -> BenchRecord:
     """Time one generator: warmup, then reps measured runs."""
     if algorithm not in _ALGS:
         raise DomainError(f"algorithm must be one of {sorted(_ALGS)}, got {algorithm!r}")
-    if reps < 1:
-        raise DomainError(f"reps must be >= 1, got {reps}")
+    require_at_least(reps, 1, "reps")
     gen = _ALGS[algorithm]
     warm = _Checksum()
     gen(n, warm)

@@ -15,9 +15,9 @@ needs largest + second >= (t + 1) * smallest, so its smallest part is <= q.
 Everything else is a special case of that count or another route to it:
 
 * ``p(n, m)`` -- partitions with parts >= m -- is the ``t = 1`` case, and
-  ``p(n) = p(n, 1)``; ``p(n)`` itself is read from Euler's pentagonal-number
-  recurrence instead, and the recurrence's ``m = 1`` column cross-checks it
-  only in ``checks.cross_paths`` and the tests;
+  ``p(n) = p(n, 1)``; the cached (1, 1) column is filled by Euler's
+  pentagonal-number recurrence instead, and the recurrence's own (1, 1)
+  column cross-checks it only in ``checks.cross_paths`` and the tests;
 * a sum form: count(t, n, m) = 1 + sum of count(t, n - k, k) for k = m .. q;
 * a reduction step count(t, n, m) = count(t-1, n, m) - count(t-1, n - t, m),
   peeling ``t`` down to 1 so the value is a signed combination of p(., m);
@@ -37,7 +37,7 @@ swept down from the column of ``m = L // (t + 1) + 1``, where only base
 cases occur, one ``m`` at a time, in place: about (L / (t + 1) - m)^2 *
 (t + 1) / 2 big-int additions.  The p column comes from Euler's recurrence,
 p(k) = sum of +-p(k - g) over the generalized pentagonal numbers g <= k, in
-about 1.1 L^1.5 additions; it is cached beside the recurrence's columns.
+about 1.1 L^1.5 additions; it is cached as the (1, 1) column.
 The product form reads that column: its coefficients are cut at degree
 D = min(n, sum of the factor degrees), so it costs at most about n * (m + t)
 big-int subtractions, O(t^2) at m = 1, and caches nothing.
@@ -48,9 +48,9 @@ two cost estimates above, with weights fitted to timings of both paths.
 The recurrence stays as the paper's path and as the reference:
 ``checks.cross_paths`` fills its own columns with ``_fill_column`` and checks
 every path against them, the served count included.  A column too short for
-a query is rebuilt, doubling its length up to the cap, and never mutated once
-cached.  The sum path reads one count per term, so at large n it is a
-cross-check meant for n <= 60.  Values are plain Python ints, so arbitrary
+a query is rebuilt, doubling its length up to ``DEFAULT_CAP``, and never
+mutated once cached.  The sum path reads one count per term, so at large n it
+is a cross-check meant for n <= 60.  Values are plain Python ints, so arbitrary
 magnitudes stay exact; every subtraction along the closed forms and the
 reduction path is checked to be nonnegative, raising ArithmeticError if not.
 """
@@ -62,21 +62,16 @@ from dataclasses import dataclass, field
 from itertools import chain
 from operator import add, mul, sub
 
-from .errors import CapacityError, DomainError
+from .errors import DomainError, require_at_least, require_within
 
+# The largest n a count answers, for every CountContext.
 DEFAULT_CAP = 5000
 
-# The cache key of the p column, beside the recurrence's (t, m) keys.
-PENTAGONAL = "pentagonal"
 
-
-def _validate_nmt(n, m, t, cap):
-    if t < 1:
-        raise DomainError(f"ratio factor must be >= 1, got {t}")
-    if m < 1:
-        raise DomainError(f"minimum part must be >= 1, got {m}")
-    if n > cap:
-        raise CapacityError(f"n={n} exceeds the configured cap {cap}")
+def _validate_nmt(n, m, t):
+    require_at_least(t, 1, "ratio factor")
+    require_at_least(m, 1, "minimum part")
+    require_within(n, DEFAULT_CAP, "configured")
 
 
 def _fill_partition_numbers(length):
@@ -126,27 +121,26 @@ def _fill_column(t, m, length):
 class CountContext:
     """Memoized partition counts, one cached column per (ratio factor, minimum part).
 
-    ``partition_count`` reads one more column, p(k) from Euler's recurrence.
-    The product form reads it too: the closed forms and the inequality scan
-    always, ``ratio_restricted_count`` and ``restricted_count`` whenever its
-    cost rule (see the module docstring) ranks it below a column fill.  The
-    product builds its coefficient list afresh per call, O(t^2) entries at
-    m = 1, and caches nothing, so the columns are the only shared state.
+    The (1, 1) column, p(k), is filled by Euler's recurrence; it serves
+    ``partition_count`` and count(1, k, 1).  The product form reads it too:
+    the closed forms and the inequality scan always, ``ratio_restricted_count``
+    and ``restricted_count`` whenever its cost rule (see the module docstring)
+    ranks it below a column fill.  The product builds its coefficient list
+    afresh per call, O(t^2) entries at m = 1, and caches nothing, so the
+    columns are the only shared state.
 
     A context may be shared between threads.  A column is built privately
     under a lock and published with one dict assignment; a published column
     is never mutated, only replaced by a longer one, so a query whose column
     is long enough reads it without taking the lock.  A column grows to at
-    least twice its length (capped at ``cap``), so ascending queries rebuild
-    it O(log n) times; ask for the largest n first to build it once.
+    least twice its length (capped at ``DEFAULT_CAP``, the largest n any
+    method takes), so ascending queries rebuild it O(log n) times; ask for
+    the largest n first to build it once.
     """
 
-    def __init__(self, cap: int = DEFAULT_CAP):
-        if cap < 0:
-            raise ValueError("cap must be nonnegative")
-        self.cap = cap
-        # _columns[t, m][k] = count(t, k, m); _columns[PENTAGONAL][k] = p(k)
-        self._columns: dict[tuple[int, int] | str, list[int]] = {}
+    def __init__(self):
+        # _columns[t, m][k] = count(t, k, m); the (1, 1) column is p(k), by Euler
+        self._columns: dict[tuple[int, int], list[int]] = {}
         self._lock = threading.Lock()
 
     def _column(self, key, n):
@@ -157,9 +151,9 @@ class CountContext:
             # read again under the lock: another thread may have grown it
             col = self._columns.get(key)
             if col is None or len(col) <= n:
-                length = n if col is None else min(self.cap, max(n, 2 * (len(col) - 1)))
+                length = n if col is None else min(DEFAULT_CAP, max(n, 2 * (len(col) - 1)))
                 col = self._columns[key] = (_fill_partition_numbers(length)
-                                            if key == PENTAGONAL else _fill_column(*key, length))
+                                            if key == (1, 1) else _fill_column(*key, length))
             return col
 
     def ratio_restricted_count(self, n: int, m: int, t: int) -> int:
@@ -169,9 +163,8 @@ class CountContext:
         rule ranks cheaper for (n, m, t); a cached column does not change the
         choice.
         """
-        if n < 1:
-            raise DomainError(f"n must be >= 1, got {n}")
-        _validate_nmt(n, m, t, self.cap)
+        require_at_least(n, 1)
+        _validate_nmt(n, m, t)
         if m > n:
             return 0
         if m > n // (t + 1):
@@ -195,7 +188,7 @@ class CountContext:
         for k in chain(range(1, min(m - 1, d) + 1), range(2, min(t, d) + 1)):
             top = min(d, top + k)
             c[k:top + 1] = map(sub, c[k:top + 1], c[:top + 1 - k])
-        return sum(map(mul, c, reversed(self._column(PENTAGONAL, n)[n - d:n + 1])))
+        return sum(map(mul, c, reversed(self._column((1, 1), n)[n - d:n + 1])))
 
     def ratio_count(self, n: int, t: int) -> int:
         """Partitions of n whose largest part is >= t times the second largest."""
@@ -203,19 +196,17 @@ class CountContext:
 
     def restricted_count(self, n: int, m: int) -> int:
         """p(n, m): partitions of n with every part >= m."""
-        if n < 0:
-            raise DomainError(f"n must be >= 0, got {n}")
-        _validate_nmt(n, m, 1, self.cap)
+        require_at_least(n, 0)
+        _validate_nmt(n, m, 1)
         if n == 0:
             return 1
         return self.ratio_restricted_count(n, m, 1)
 
     def partition_count(self, n: int) -> int:
         """p(n): number of partitions of n (p(0) = 1), by Euler's recurrence."""
-        if n < 0:
-            raise DomainError(f"n must be >= 0, got {n}")
-        _validate_nmt(n, 1, 1, self.cap)
-        return self._column(PENTAGONAL, n)[n]
+        require_at_least(n, 0)
+        _validate_nmt(n, 1, 1)
+        return self._column((1, 1), n)[n]
 
     def _p(self, n):
         # closed forms read below index 0; treat those terms as absent
@@ -227,7 +218,7 @@ class CountContext:
         Kept as an independent computation path for cross-checking; only
         defined on 1 <= m <= n // (t + 1).
         """
-        _validate_nmt(n, m, t, self.cap)
+        _validate_nmt(n, m, t)
         q = n // (t + 1)
         if not 1 <= m <= q:
             raise DomainError(f"need 1 <= m <= n // (t + 1) = {q}, got m={m}")
@@ -239,7 +230,7 @@ class CountContext:
         Expands count(t, n, m) into a signed combination of plain restricted
         counts p(., m); defined on n > t > 1 with m <= n // (t + 1).
         """
-        _validate_nmt(n, m, t, self.cap)
+        _validate_nmt(n, m, t)
         if not n > t > 1:
             raise DomainError(f"need n > t > 1, got n={n}, t={t}")
         if m > n // (t + 1):
@@ -257,9 +248,8 @@ class CountContext:
         return value
 
     def _closed(self, n, t):
-        if n < 1:
-            raise DomainError(f"n must be >= 1, got {n}")
-        _validate_nmt(n, 1, t, self.cap)
+        require_at_least(n, 1)
+        _validate_nmt(n, 1, t)
         value = self._product_count(n, 1, t)
         if value < 0:
             raise ArithmeticError(f"p{t}_closed went negative at n={n}")
@@ -286,8 +276,7 @@ class CountContext:
         holds) and, for n >= 2, triple-ratio(n) <= double-ratio(n-1).
         Both are expected to hold everywhere.
         """
-        if n_max > self.cap:
-            raise CapacityError(f"n_max={n_max} exceeds the configured cap {self.cap}")
+        require_within(n_max, DEFAULT_CAP, "configured", "n_max")
         self._p(n_max)  # one fill of the p column, not one per doubling
         growth_violations = []
         growth_equalities = []

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import CapacityError, DomainError
+from .errors import DomainError, require_at_least, require_within
 
 # The counted variants import OpCounters, named in their annotations, when
 # called: it loads dataclasses, which the plain generators do without.
@@ -62,18 +62,13 @@ COLLECT_CAP = 45
 CHUNK_LINES = 256
 
 
-def _check_n(n, lo=1):
-    if n < lo:
-        raise DomainError(f"n must be >= {lo}, got {n}")
-
-
 def gen_v1(n: int, consumer) -> int:
     """Generate ascending compositions of n; returns the number emitted.
 
     The count is x after the ``x <= y`` loop minus x before it, plus one for
     the final visit, summed over the outer passes.
     """
-    _check_n(n)
+    require_at_least(n, 1)
     a = [0] * (n + 3)
     k = 0
     x = 1
@@ -117,7 +112,7 @@ def gen_v2(n: int, consumer) -> int:
     Counted as in `gen_v1`: per outer pass, the change in x across the
     ``x <= y`` loop plus one for the final visit.
     """
-    _check_n(n)
+    require_at_least(n, 1)
     a = [0] * (n + 3)
     k = 1
     x = 1
@@ -153,7 +148,7 @@ def gen_v3(n: int, consumer) -> int:
     ``2 * x <= y`` loop also adds p - x, where its ``p <= q`` loop stopped:
     one visit per ``p <= q`` pass and one for ``a[t] = y``.
     """
-    _check_n(n)
+    require_at_least(n, 1)
     a = [0] * (n + 3)
     k = 1
     x = 1
@@ -223,9 +218,9 @@ def render_v3(n: int, descending: bool = False, limit: int | None = None):
     and a leading newline, reversing each chunk once as it is yielded.
     Holding one string, not one per depth, keeps memory linear in n.
     """
-    _check_n(n)
-    if limit is not None and limit < 0:
-        raise DomainError(f"limit must be >= 0, got {limit}")
+    require_at_least(n, 1)
+    if limit is not None:
+        require_at_least(limit, 0, "limit")
     left = math.inf if limit is None else limit  # lines still to yield
     # descending: each part reversed, and the newline leads instead of ending
     step, end, text = (-1, "", "\n") if descending else (1, "\n", "")
@@ -298,7 +293,7 @@ def gen_v2_counted(n: int) -> OpCounters:
     """
     from .counters import OpCounters
 
-    _check_n(n, lo=2)
+    require_at_least(n, 2)
     a = [0] * (n + 3)
     k = 1
     x = 1
@@ -346,7 +341,7 @@ def gen_v3_counted(n: int) -> OpCounters:
     """
     from .counters import OpCounters
 
-    _check_n(n, lo=2)
+    require_at_least(n, 2)
     a = [0] * (n + 3)
     k = 1
     x = 1
@@ -402,9 +397,8 @@ def collect_compositions(n: int, alg: int = 3) -> list[tuple[int, ...]]:
     """Materialize all ascending compositions of n (guarded; tests/demos only)."""
     if alg not in ALGORITHMS:
         raise DomainError(f"alg must be one of {sorted(ALGORITHMS)}, got {alg}")
-    _check_n(n)
-    if n > COLLECT_CAP:
-        raise CapacityError(f"n={n} exceeds the collector cap {COLLECT_CAP}")
+    require_at_least(n, 1)
+    require_within(n, COLLECT_CAP, "collector")
     out = []
 
     def consumer(a, length):

@@ -12,20 +12,11 @@ grow like p(n).
 
 from __future__ import annotations
 
-from .errors import CapacityError, DomainError
+from .errors import require_at_least, require_within
 
 # Enumeration cap.  p(60) is just under a million compositions, which is the
 # largest list the exhaustive cross-check suites ask for.
 ORACLE_CAP = 60
-
-
-def _guard(n, m):
-    if m < 1:
-        raise DomainError(f"minimum part must be >= 1, got {m}")
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if n > ORACLE_CAP:
-        raise CapacityError(f"n={n} exceeds the brute-force cap {ORACLE_CAP}")
 
 
 def _extend(out, parts, remaining, lo):
@@ -41,7 +32,9 @@ def _extend(out, parts, remaining, lo):
 
 def brute_compositions(n: int, m: int = 1) -> list[tuple[int, ...]]:
     """All ascending compositions of n with parts >= m, in lexicographic order."""
-    _guard(n, m)
+    require_at_least(m, 1, "minimum part")
+    require_at_least(n, 1)
+    require_within(n, ORACLE_CAP, "brute-force")
     out = []
     if n >= m:
         _extend(out, (), n, m)
@@ -59,6 +52,5 @@ def has_ratio_property(parts, t: int) -> bool:
 
 def brute_ratio_count(n: int, m: int, t: int) -> int:
     """Count of brute_compositions(n, m) entries with the ratio property."""
-    if t < 1:
-        raise DomainError(f"ratio factor must be >= 1, got {t}")
+    require_at_least(t, 1, "ratio factor")
     return sum(1 for c in brute_compositions(n, m) if has_ratio_property(c, t))

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import CapacityError, DomainError
+from .errors import DomainError, require_at_least, require_within
 
 # p(40) = 37338 keeps arenas comfortably small.
 MATERIALIZE_CAP = 40
@@ -78,6 +78,8 @@ class Tree:
 
 
 def _build(kind, n, root, child_fn):
+    require_at_least(n, 1)
+    require_within(n, MATERIALIZE_CAP, "materialization")
     labels = [root]
     children: list[list[int]] = [[]]
     stack = [0]
@@ -96,20 +98,11 @@ def _build(kind, n, root, child_fn):
     return Tree(kind=kind, n=n, labels=labels, children=children)
 
 
-def _guard(n):
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if n > MATERIALIZE_CAP:
-        raise CapacityError(f"n={n} exceeds the materialization cap {MATERIALIZE_CAP}")
-
-
 def build_partition_tree(n: int) -> Tree:
-    _guard(n)
     return _build("partition", n, (1, n), tree_children)
 
 
 def build_strict_tree(n: int) -> Tree:
-    _guard(n)
     return _build(
         "binary", n, (1, n - 1),
         lambda node: (strict_left_child(node), strict_right_child(node)),

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .counters import OpCounters
-from .errors import DomainError
+from .errors import require_at_least
 from .ptree import strict_left_child, strict_right_child
 
 
@@ -76,8 +76,7 @@ def inorder_generic(n: int, visit=_no_visit) -> TraversalStats:
     visits        2O - 1
     ============  ==============
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    require_at_least(n, 1)
     stack = []
     push, pop = stack.append, stack.pop
     v = (1, n - 1)
@@ -112,8 +111,7 @@ def inorder_v1(n: int, visit=_no_visit) -> TraversalStats:
     visits        2O - 1 + 2P
     ============  ==================
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    require_at_least(n, 1)
     sx, sy = [0] * n, [0] * n
     top = -1
     x, y = 1, n - 1
@@ -156,8 +154,7 @@ def inorder_v2(n: int, visit=_no_visit) -> TraversalStats:
     visits        2O - 1 + 4P + 2C + 2T
     ============  ==============================
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    require_at_least(n, 1)
     sx, sy = [0] * n, [0] * n
     top = -1
     x, y = 1, n - 1

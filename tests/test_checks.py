@@ -5,7 +5,6 @@ from dataclasses import replace
 import pytest
 
 from ascpart import CountContext, checks
-from ascpart.counting import PENTAGONAL
 
 
 def _result(change):
@@ -27,10 +26,10 @@ def _stream(edit, extra=0):
 
 
 def _pentagonal_entry(k):
-    """A defect in the cached pentagonal column: p(k) off by one."""
+    """A defect in the cached (1, 1) column, Euler's p: p(k) off by one."""
     def defect(columns):
-        col = columns[PENTAGONAL]
-        return {**columns, PENTAGONAL: col[:k] + [col[k] + 1] + col[k + 1:]}
+        col = columns[1, 1]
+        return {**columns, (1, 1): col[:k] + [col[k] + 1] + col[k + 1:]}
     return defect
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, rule
 
-from ascpart import CapacityError, CountContext, DomainError, checks
+from ascpart import DEFAULT_CAP, CapacityError, CountContext, checks
 from ascpart.counting import _fill_column, _fill_partition_numbers
 from ascpart.oracle import brute_compositions, brute_ratio_count, has_ratio_property
 
@@ -230,43 +230,39 @@ def test_concurrent_queries_on_fresh_context(queries):
 
 
 def test_capacity_errors():
-    small = CountContext(cap=50)
-    with pytest.raises(CapacityError, match="^n=51 exceeds the configured cap 50$"):
-        small.partition_count(51)
-    with pytest.raises(CapacityError, match="^n=51 exceeds the configured cap 50$"):
-        small.restricted_count(51, 1)
-    with pytest.raises(CapacityError):
-        small.ratio_restricted_count(51, 1, 2)
-    with pytest.raises(CapacityError):
-        small.check_inequalities(51)
-    assert small.partition_count(50) == 204226
+    # the cap is checked before any column is filled
+    ctx = CountContext()
+    over = DEFAULT_CAP + 1
+    message = f"^n={over} exceeds the configured cap {DEFAULT_CAP}$"
+    for method, args in (("partition_count", ()), ("restricted_count", (1,)),
+                         ("ratio_restricted_count", (1, 2)), ("p3_closed", ())):
+        with pytest.raises(CapacityError, match=message):
+            getattr(ctx, method)(over, *args)
+    with pytest.raises(CapacityError, match=f"^n_max={over} exceeds"):
+        ctx.check_inequalities(over)
+    assert ctx._columns == {}
 
 
-def test_domain_errors(ctx):
-    with pytest.raises(DomainError, match="^n must be >= 0, got -1$"):
-        ctx.partition_count(-1)
-    with pytest.raises(DomainError, match="^n must be >= 0, got -1$"):
-        ctx.restricted_count(-1, 1)
-    with pytest.raises(DomainError):
-        ctx.restricted_count(5, 0)
-    with pytest.raises(DomainError):
-        ctx.ratio_restricted_count(0, 1, 2)
-    with pytest.raises(DomainError):
-        ctx.ratio_restricted_count(5, 1, 0)
-    with pytest.raises(DomainError):
-        ctx.ratio_count_via_sum(15, 6, 2)  # m above n // (t + 1)
-    with pytest.raises(DomainError):
-        ctx.ratio_count_via_reduction(15, 3, 1)  # t must exceed 1
-    with pytest.raises(DomainError):
-        ctx.ratio_count_via_reduction(3, 1, 3)  # needs n > t
-    with pytest.raises(DomainError):
-        ctx.p2_closed(0)
+@pytest.mark.parametrize("method, first, then, key", [
+    ("partition_count", (3000,), (3001,), (1, 1)),
+    ("restricted_count", (3000, 1000), (3001, 1000), (1, 1000)),
+], ids=["p-column", "recurrence-column"])
+def test_doubling_column_stops_at_the_cap(method, first, then, key):
+    # a column past half the cap would double beyond it; it is filled to the
+    # cap instead, and answers there as a fresh context's column does
+    ctx = CountContext()
+    getattr(ctx, method)(*first)
+    assert len(ctx._columns[key]) == first[0] + 1
+    assert getattr(ctx, method)(*then) == getattr(CountContext(), method)(*then)
+    assert len(ctx._columns[key]) == DEFAULT_CAP + 1
+    at_cap = (DEFAULT_CAP, *then[1:])
+    assert getattr(ctx, method)(*at_cap) == getattr(CountContext(), method)(*at_cap)
 
 
 @given(n=st.integers(1, 28), m=st.integers(1, 10), t=st.integers(1, 4))
 @settings(max_examples=120, deadline=None)
 def test_ratio_count_matches_brute_force(n, m, t):
-    ctx = CountContext(cap=100)
+    ctx = CountContext()
     want = sum(1 for c in brute_compositions(n, m) if has_ratio_property(c, t))
     assert ctx.ratio_restricted_count(n, m, t) == want
 
@@ -277,41 +273,41 @@ def _oracle_count(n, m, t):
 
 
 class QueryOrder(RuleBasedStateMachine):
-    """Queries in any order on one small-capped context answer as a fresh one.
+    """Queries in any order on one context answer as a fresh one.
 
-    The cap of 64 makes doubling columns stop short at the cap; answers for
-    n <= 28 are also checked against the brute-force oracle.
+    Columns grow by doubling as larger n arrive; answers for n <= 28 are
+    also checked against the brute-force oracle.
     """
 
-    CAP = 64
+    N_MAX = 64
 
     def __init__(self):
         super().__init__()
-        self.ctx = CountContext(cap=self.CAP)
+        self.ctx = CountContext()
 
     def check(self, query, args, oracle_args):
         got = getattr(self.ctx, query)(*args)
-        assert got == getattr(CountContext(cap=self.CAP), query)(*args)
+        assert got == getattr(CountContext(), query)(*args)
         if args[0] <= 28:
             assert got == _oracle_count(*oracle_args)
 
-    @rule(n=st.integers(1, CAP), m=st.integers(1, 24), t=st.integers(1, 4))
+    @rule(n=st.integers(1, N_MAX), m=st.integers(1, 24), t=st.integers(1, 4))
     def ratio_restricted_count(self, n, m, t):
         self.check("ratio_restricted_count", (n, m, t), (n, m, t))
 
-    @rule(n=st.integers(0, CAP), m=st.integers(1, 24))
+    @rule(n=st.integers(0, N_MAX), m=st.integers(1, 24))
     def restricted_count(self, n, m):
         self.check("restricted_count", (n, m), (n, m, 1))
 
-    @rule(n=st.integers(0, CAP))
+    @rule(n=st.integers(0, N_MAX))
     def partition_count(self, n):
         self.check("partition_count", (n,), (n, 1, 1))
 
-    @rule(n=st.integers(1, CAP))
+    @rule(n=st.integers(1, N_MAX))
     def p2_closed(self, n):
         self.check("p2_closed", (n,), (n, 1, 2))
 
-    @rule(n=st.integers(1, CAP))
+    @rule(n=st.integers(1, N_MAX))
     def p3_closed(self, n):
         self.check("p3_closed", (n,), (n, 1, 3))
 

@@ -8,8 +8,6 @@ import pytest
 from ascpart import (
     ALGORITHMS,
     COLLECT_CAP,
-    CapacityError,
-    DomainError,
     collect_compositions,
     gen_v1,
     gen_v2,
@@ -17,7 +15,6 @@ from ascpart import (
     gen_v3,
     gen_v3_counted,
 )
-from ascpart.generate import render_v3
 from ascpart.oracle import brute_compositions
 
 
@@ -145,24 +142,6 @@ def test_counted_loop_is_the_plain_loop():
     # generators' states at every n
     for plain, counted in ((gen_v2, gen_v2_counted), (gen_v3, gen_v3_counted)):
         assert paper_loop(counted) == paper_loop(plain), counted.__name__
-
-
-def test_domain_errors():
-    sink = lambda a, k: None
-    for gen in (gen_v1, gen_v2, gen_v3):
-        with pytest.raises(DomainError):
-            gen(0, sink)
-    with pytest.raises(DomainError):
-        gen_v2_counted(1)
-    with pytest.raises(DomainError):
-        gen_v3_counted(1)
-    with pytest.raises(DomainError):
-        collect_compositions(5, 7)
-    with pytest.raises(CapacityError):
-        collect_compositions(46)
-    for args in ((0,), (4, False, -1)):
-        with pytest.raises(DomainError):
-            next(render_v3(*args))
 
 
 def test_algorithm_table():

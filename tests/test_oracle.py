@@ -3,11 +3,9 @@
 import gc
 from itertools import combinations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ascpart import CapacityError, DomainError
 from ascpart.oracle import brute_compositions, brute_ratio_count, has_ratio_property
 
 
@@ -65,17 +63,6 @@ def test_returned_list_is_freed_without_the_cycle_collector():
     finally:
         if enabled:
             gc.enable()
-
-
-def test_guards():
-    with pytest.raises(DomainError):
-        brute_compositions(0)
-    with pytest.raises(DomainError):
-        brute_compositions(5, 0)
-    with pytest.raises(CapacityError):
-        brute_compositions(61)
-    with pytest.raises(DomainError):
-        brute_ratio_count(5, 1, 0)
 
 
 @given(n=st.integers(1, 24), m=st.integers(1, 6))
