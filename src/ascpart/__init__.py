@@ -16,14 +16,14 @@ __version__ = "0.1.0"
 # submodule -> the public names it defines
 _EXPORTS = {
     "analysis": ("CountCheck", "RatioRecord", "RatioScan", "budget_violations",
-                 "format_ratio", "r1_exact", "r2_exact", "ratio_table",
+                 "format_ratio", "r1_exact", "r2_exact", "ratio_table", "verify_counts",
                  "verify_v2_counts", "verify_v3_counts", "write_ratio_csv"),
     "bench": ("BenchRecord", "BenchRow", "bench_table", "time_algorithm", "write_bench_csv"),
     "counters": ("OpCounters",),
     "counting": ("DEFAULT_CAP", "CountContext", "InequalityReport"),
     "errors": ("AscpartError", "CapacityError", "DomainError"),
-    "generate": ("ALGORITHMS", "COLLECT_CAP", "collect_compositions", "gen_v1", "gen_v2",
-                 "gen_v2_counted", "gen_v3", "gen_v3_counted"),
+    "generate": ("ALGORITHMS", "COLLECT_CAP", "COUNTED", "collect_compositions", "gen_v1",
+                 "gen_v2", "gen_v2_counted", "gen_v3", "gen_v3_counted"),
     "oracle": ("ORACLE_CAP", "brute_compositions", "brute_ratio_count", "has_ratio_property"),
     "ptree": ("MATERIALIZE_CAP", "Tree", "build_partition_tree", "build_strict_tree",
               "decode_path", "iter_root_to_leaf_paths", "strict_left_child",

@@ -7,8 +7,9 @@ operations:
     gen_v3: 4 p(n) + 5 r(n)  assignments,  p(n) + 4 r(n)  boolean evals
 
 where d(n) / r(n) are the t = 2 / t = 3 ratio counts from `counting`.
-`verify_v2_counts` / `verify_v3_counts` run the instrumented generators and
-compare against these formulas.
+`_predicted` holds these formulas under the keys of `generate.COUNTED`, and
+`verify_counts(n, ctx, alg)` runs ``COUNTED[alg]`` at n and compares its
+tallies with them, and its visits with p(n).
 
 The relative cost of gen_v3 versus gen_v2 is summarized by two exact
 rationals,
@@ -31,20 +32,20 @@ from fractions import Fraction
 
 from .counting import CountContext
 from .errors import DomainError, require_at_least
-from .generate import gen_v2_counted, gen_v3_counted
+from .generate import COUNTED
 
 
 def _predicted(n, ctx):
-    """The paper's (assignments, bool_evals) for gen_v2 and gen_v3 at n."""
+    """The paper's (assignments, bool_evals) at n, keyed like `generate.COUNTED`."""
     if n < 2:
         raise DomainError(f"ratios are defined for n >= 2, got {n}")
     p, d, r = ctx.partition_count(n), ctx.p2_closed(n), ctx.p3_closed(n)
-    return {"v2": (4 * p + 4 * d, p + 3 * d), "v3": (4 * p + 5 * r, p + 4 * r)}
+    return {2: (4 * p + 4 * d, p + 3 * d), 3: (4 * p + 5 * r, p + 4 * r)}
 
 
 def _ratios(n, ctx):
     counts = _predicted(n, ctx)
-    return tuple(map(Fraction, counts["v3"], counts["v2"]))
+    return tuple(map(Fraction, counts[3], counts[2]))
 
 
 def r1_exact(n: int, ctx: CountContext) -> Fraction:
@@ -70,37 +71,40 @@ def format_ratio(value) -> str:
 
 @dataclass(frozen=True)
 class CountCheck:
-    """Instrumented run versus predicted counts for one generator and n."""
+    """A counted generator's tallies at n against its predicted counts and p(n) visits."""
 
     n: int
-    algorithm: str
+    algorithm: int  # the key in `generate.COUNTED`
     expected_assignments: int
     actual_assignments: int
     expected_bool_evals: int
     actual_bool_evals: int
+    expected_visits: int
+    actual_visits: int
 
     @property
     def passed(self) -> bool:
-        return (self.expected_assignments == self.actual_assignments
-                and self.expected_bool_evals == self.actual_bool_evals)
+        return ((self.expected_assignments, self.expected_bool_evals, self.expected_visits)
+                == (self.actual_assignments, self.actual_bool_evals, self.actual_visits))
 
 
-def _verify(n, ctx, algorithm, counted):
-    assignments, bool_evals = _predicted(n, ctx)[algorithm]
-    ops = counted(n)
-    return CountCheck(n=n, algorithm=algorithm,
-                      expected_assignments=assignments,
-                      actual_assignments=ops.assignments,
-                      expected_bool_evals=bool_evals,
-                      actual_bool_evals=ops.bool_evals)
+def verify_counts(n: int, ctx: CountContext, alg: int) -> CountCheck:
+    """Run ``COUNTED[alg]`` at n and check it against `_predicted` and p(n)."""
+    assignments, bool_evals = _predicted(n, ctx)[alg]
+    ops = COUNTED[alg](n)
+    return CountCheck(n=n, algorithm=alg,
+                      expected_assignments=assignments, actual_assignments=ops.assignments,
+                      expected_bool_evals=bool_evals, actual_bool_evals=ops.bool_evals,
+                      expected_visits=ctx.partition_count(n), actual_visits=ops.visits)
 
 
+# perfbench/probe.py imports these two by name, so they stay.
 def verify_v2_counts(n: int, ctx: CountContext) -> CountCheck:
-    return _verify(n, ctx, "v2", gen_v2_counted)
+    return verify_counts(n, ctx, 2)
 
 
 def verify_v3_counts(n: int, ctx: CountContext) -> CountCheck:
-    return _verify(n, ctx, "v3", gen_v3_counted)
+    return verify_counts(n, ctx, 3)
 
 
 @dataclass(frozen=True)

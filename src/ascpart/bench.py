@@ -7,10 +7,11 @@ heavily on the interpreter and the machine; they are reported, never
 asserted.  The theoretical r1/r2 columns from `analysis` ride along in the
 CSV for comparison.
 
-Protocol, single-threaded: each algorithm gets one untimed warmup run, then
-gen_v2 and gen_v3 get ``reps`` timed runs each and gen_v1 a single one,
-used only for its checksum.  r(n) = t1 / t2 where t1 is gen_v3's mean time
-and t2 is gen_v2's.
+Protocol, single-threaded: each generator of `generate.ALGORITHMS`, in the
+table's order, gets one untimed warmup run and then timed runs: ``reps`` of
+them for the two generators the CSV compares, and one for each other, used
+only for its checksum.  r(n) = t1 / t2 where t1 is gen_v3's mean time and
+t2 is gen_v2's.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .counting import CountContext
 from .errors import DomainError, require_at_least
 from .generate import ALGORITHMS
 
-_ALGS = {f"v{k}": g for k, g in ALGORITHMS.items()}
 _MASK = (1 << 64) - 1
 _BASE = 1_000_003
 
@@ -52,7 +52,7 @@ class _Checksum:
 @dataclass(frozen=True)
 class BenchRecord:
     n: int
-    algorithm: str
+    algorithm: int  # the key in `generate.ALGORITHMS`
     reps: int
     times_ns: tuple[int, ...]
     checksum: int
@@ -62,12 +62,12 @@ class BenchRecord:
         return round(mean(self.times_ns))
 
 
-def time_algorithm(n: int, algorithm: str, reps: int) -> BenchRecord:
-    """Time one generator: warmup, then reps measured runs."""
-    if algorithm not in _ALGS:
-        raise DomainError(f"algorithm must be one of {sorted(_ALGS)}, got {algorithm!r}")
+def time_algorithm(n: int, algorithm: int, reps: int) -> BenchRecord:
+    """Time ``ALGORITHMS[algorithm]``: warmup, then reps measured runs."""
+    if algorithm not in ALGORITHMS:
+        raise DomainError(f"algorithm must be one of {sorted(ALGORITHMS)}, got {algorithm!r}")
     require_at_least(reps, 1, "reps")
-    gen = _ALGS[algorithm]
+    gen = ALGORITHMS[algorithm]
     warm = _Checksum()
     gen(n, warm)
     times = []
@@ -80,9 +80,9 @@ def time_algorithm(n: int, algorithm: str, reps: int) -> BenchRecord:
         if checksum is None:
             checksum = acc.value
         elif checksum != acc.value:
-            raise RuntimeError(f"nondeterministic checksum for {algorithm} at n={n}")
+            raise RuntimeError(f"nondeterministic checksum for v{algorithm} at n={n}")
     if checksum != warm.value:
-        raise RuntimeError(f"warmup checksum mismatch for {algorithm} at n={n}")
+        raise RuntimeError(f"warmup checksum mismatch for v{algorithm} at n={n}")
     return BenchRecord(n=n, algorithm=algorithm, reps=reps,
                        times_ns=tuple(times), checksum=checksum)
 
@@ -100,7 +100,7 @@ class BenchRow:
 def bench_table(ns, reps: int, ctx: CountContext | None = None) -> list[BenchRow]:
     """One row per n: measured t1, t2, r = t1/t2, and theoretical r1, r2.
 
-    All three generators must agree on the checksum for every n; that is a
+    Every generator must give the same checksum for every n; that is a
     correctness condition, so a mismatch raises.  The ratios are computed
     first, so an n outside their domain (n < 2) raises `DomainError` before
     any generator is timed.
@@ -110,19 +110,12 @@ def bench_table(ns, reps: int, ctx: CountContext | None = None) -> list[BenchRow
     exact = [(n, r1_exact(n, ctx), r2_exact(n, ctx)) for n in ns]
     rows = []
     for n, r1, r2 in exact:
-        rec1 = time_algorithm(n, "v1", 1)
-        rec2 = time_algorithm(n, "v2", reps)
-        rec3 = time_algorithm(n, "v3", reps)
-        if not (rec1.checksum == rec2.checksum == rec3.checksum):
-            raise RuntimeError(
-                f"checksum mismatch at n={n}: "
-                f"v1={rec1.checksum} v2={rec2.checksum} v3={rec3.checksum}")
-        rows.append(BenchRow(n=n,
-                             t1_ns=rec3.mean_ns,
-                             t2_ns=rec2.mean_ns,
-                             r=rec3.mean_ns / rec2.mean_ns,
-                             r1=r1,
-                             r2=r2))
+        recs = {alg: time_algorithm(n, alg, reps if alg in (2, 3) else 1) for alg in ALGORITHMS}
+        if len({rec.checksum for rec in recs.values()}) != 1:
+            raise RuntimeError(f"checksum mismatch at n={n}: " + " ".join(
+                f"v{alg}={rec.checksum}" for alg, rec in recs.items()))
+        t1, t2 = recs[3].mean_ns, recs[2].mean_ns
+        rows.append(BenchRow(n=n, t1_ns=t1, t2_ns=t2, r=t1 / t2, r1=r1, r2=r2))
     return rows
 
 

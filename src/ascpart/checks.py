@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import length_hint
 
-from .analysis import verify_v2_counts, verify_v3_counts
+from .analysis import verify_counts
 from .counting import _fill_column
-from .generate import ALGORITHMS
+from .generate import ALGORITHMS, COUNTED
 from .oracle import brute_compositions
 from .ptree import build_partition_tree, build_strict_tree
 
@@ -110,12 +110,13 @@ def cross_paths(ctx, n_max):
 
 
 def op_counts(ctx, n_max):
-    """The counted generators execute exactly the predicted operations."""
-    bad = [f"{check.algorithm} at n={n}: assignments {check.actual_assignments} vs "
+    """Each counted generator executes exactly the predicted operations and p(n) visits."""
+    bad = [f"v{check.algorithm} at n={n}: assignments {check.actual_assignments} vs "
            f"{check.expected_assignments}, bool evals {check.actual_bool_evals} vs "
-           f"{check.expected_bool_evals}"
+           f"{check.expected_bool_evals}, visits {check.actual_visits} vs "
+           f"{check.expected_visits}"
            for n in range(2, n_max + 1)
-           for check in (verify_v2_counts(n, ctx), verify_v3_counts(n, ctx))
+           for check in (verify_counts(n, ctx, alg) for alg in COUNTED)
            if not check.passed]
     return _result(f"instrumented operation counts (2 <= n <= {n_max})", bad)
 

@@ -90,10 +90,12 @@ def _cmd_ratios(args):
 def _cmd_bench(args):
     from .bench import bench_table, write_bench_csv
     from .counting import CountContext
+    from .generate import ALGORITHMS
 
     ctx = CountContext()
-    # bench_table runs gen_v1 twice and gen_v2 and gen_v3 reps + 1 times each
-    visits = sum(ctx.partition_count(n) for n in args.n) * (2 * args.reps + 4)
+    # bench_table runs each ALGORITHMS entry twice, and the two it compares
+    # reps - 1 times more
+    visits = sum(ctx.partition_count(n) for n in args.n) * 2 * (len(ALGORITHMS) - 1 + args.reps)
     _check_visits("bench", visits, "ascpart.bench.bench_table")
     rows = bench_table(args.n, args.reps, ctx)
     with _open_out(args.out) as fh:
@@ -104,13 +106,14 @@ def _cmd_bench(args):
 def _cmd_verify(args):
     from .checks import battery
     from .counting import CountContext
+    from .generate import COUNTED
 
     ctx = CountContext()
-    # the op-count check runs gen_v2_counted and gen_v3_counted for 2 <= n <= max_n;
-    # the sum stops once past the limit, before p(n) could pass the count cap
+    # the op-count check runs every COUNTED entry for 2 <= n <= max_n; the
+    # sum stops once past the limit, before p(n) could pass the count cap
     visits = 0
     for n in range(2, args.max_n + 1):
-        visits += 2 * ctx.partition_count(n)
+        visits += len(COUNTED) * ctx.partition_count(n)
         if visits > BENCH_MAX_VISITS:
             break
     _check_visits("verify", visits, "ascpart.checks.battery")

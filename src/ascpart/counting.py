@@ -165,6 +165,10 @@ class CountContext:
         """
         require_at_least(n, 1)
         _validate_nmt(n, m, t)
+        return self._served(n, m, t)
+
+    def _served(self, n, m, t):
+        """`ratio_restricted_count` for arguments already checked."""
         if m > n:
             return 0
         if m > n // (t + 1):
@@ -197,15 +201,15 @@ class CountContext:
     def restricted_count(self, n: int, m: int) -> int:
         """p(n, m): partitions of n with every part >= m."""
         require_at_least(n, 0)
-        _validate_nmt(n, m, 1)
         if n == 0:
+            require_at_least(m, 1, "minimum part")
             return 1
         return self.ratio_restricted_count(n, m, 1)
 
     def partition_count(self, n: int) -> int:
         """p(n): number of partitions of n (p(0) = 1), by Euler's recurrence."""
         require_at_least(n, 0)
-        _validate_nmt(n, 1, 1)
+        require_within(n, DEFAULT_CAP, "configured")
         return self._column((1, 1), n)[n]
 
     def _p(self, n):
@@ -222,7 +226,7 @@ class CountContext:
         q = n // (t + 1)
         if not 1 <= m <= q:
             raise DomainError(f"need 1 <= m <= n // (t + 1) = {q}, got m={m}")
-        return 1 + sum(self.ratio_restricted_count(n - k, k, t) for k in range(m, q + 1))
+        return 1 + sum(self._served(n - k, k, t) for k in range(m, q + 1))
 
     def ratio_count_via_reduction(self, n: int, m: int, t: int) -> int:
         """Same value again, by peeling the ratio factor down to t = 1.
@@ -238,8 +242,8 @@ class CountContext:
         return self._reduce(t, n, m)
 
     def _reduce(self, t, n, m):
-        if t == 1:
-            return self.restricted_count(n, m)
+        if t == 1:  # the t = 2 caller had 1 <= m <= n // 3, so n >= 1 here
+            return self._served(n, m, 1)
         if m > n // (t + 1):
             return 1 if n == 0 or m <= n else 0
         value = self._reduce(t - 1, n, m) - self._reduce(t - 1, n - t, m)

@@ -24,18 +24,20 @@ that read defined (the loop then exits).
   with the rendered prefix kept across the lines that share it, in either
   order of parts; it is what ``ascpart generate`` prints.
 
-`gen_v2_counted` / `gen_v3_counted` are the loops of `gen_v2` / `gen_v3`
-with operation tallies and without the visits: they take only n, emit
-nothing and return the tallies.  Every other statement stays, the array
-writes that only a visit would read included, since the tallies count them;
-a test compares each counted loop with its plain one statement by statement.
-Their assignment and boolean-evaluation counts are exact functions of n (see
-`analysis`), which is what the counted variants exist to demonstrate.  They
-count each loop's passes: the outer loop adds one per pass, and every other
-loop's passes are read off the change in a variable that the loop steps by
-one per pass.  The tallies are built at return as each loop's passes times
-the lines one pass executes; the per-loop weights are tabled in their
-docstrings.
+`ALGORITHMS` maps each generator's key to its plain loop, and `COUNTED` maps
+the same key to its counted loop: `gen_v2_counted` / `gen_v3_counted` are
+the loops of `gen_v2` / `gen_v3` with operation tallies and without the
+visits.  They take only n, emit nothing and return the tallies.  Every
+other statement stays, the array writes that only a visit would read
+included, since the tallies count them; a test compares each counted loop
+with its plain one statement by statement.  Their assignment and
+boolean-evaluation counts are exact functions of n, which `analysis` keys
+like `COUNTED`; that is what the counted variants exist to demonstrate.
+They count each loop's passes: the outer loop adds one per pass, and every
+other loop's passes are read off the change in a variable that the loop
+steps by one per pass.  The tallies are built at return as each loop's
+passes times the lines one pass executes; the per-loop weights are tabled
+in their docstrings.
 
 The plain variants return the number of compositions they emitted, counted
 the same way: each pass of an ``x <= y`` loop emits one composition and adds
@@ -390,7 +392,9 @@ def gen_v3_counted(n: int) -> OpCounters:
         visits=outer + 2 * pairs + shifts + tail)
 
 
+# One key per generator; `analysis._predicted` holds a formula for each COUNTED key.
 ALGORITHMS = {1: gen_v1, 2: gen_v2, 3: gen_v3}
+COUNTED = {2: gen_v2_counted, 3: gen_v3_counted}
 
 
 def collect_compositions(n: int, alg: int = 3) -> list[tuple[int, ...]]:

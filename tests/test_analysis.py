@@ -6,17 +6,20 @@ from fractions import Fraction
 import pytest
 
 from ascpart import (
+    ALGORITHMS,
+    COUNTED,
     DEFAULT_CAP,
-    DomainError,
     budget_violations,
     format_ratio,
     r1_exact,
     r2_exact,
     ratio_table,
+    verify_counts,
     verify_v2_counts,
     verify_v3_counts,
     write_ratio_csv,
 )
+from ascpart.analysis import _predicted
 
 # Frozen 5-decimal reference ratios at selected n (last digit may be
 # truncated rather than rounded, hence the 2e-5 tolerance used throughout).
@@ -54,15 +57,6 @@ def test_reference_table(ctx):
         assert abs(float(r2_exact(n, ctx)) - want2) < 2e-5, n
 
 
-def test_ratio_domain(ctx):
-    with pytest.raises(DomainError):
-        float(r1_exact(1, ctx))
-    with pytest.raises(DomainError):
-        r2_exact(0, ctx)
-    with pytest.raises(DomainError):
-        ratio_table(1, ctx)
-
-
 def test_format_ratio():
     assert format_ratio(Fraction(1, 3)) == "0.33333"
     assert format_ratio(Fraction(2, 3)) == "0.66667"
@@ -75,14 +69,23 @@ def test_format_ratio():
 
 def test_verify_counts(ctx):
     for n in (2, 6, 20, 60):
-        check2 = verify_v2_counts(n, ctx)
-        assert check2.passed, check2
-        check3 = verify_v3_counts(n, ctx)
-        assert check3.passed, check3
-    check = verify_v2_counts(20, ctx)
+        for alg in COUNTED:
+            check = verify_counts(n, ctx, alg)
+            assert check.passed, check
+            assert check.actual_visits == check.expected_visits == ctx.partition_count(n)
+    check = verify_counts(20, ctx, 2)
     assert check.actual_assignments == 3476
     assert check.actual_bool_evals == 1353
-    assert check.algorithm == "v2"
+    assert check.algorithm == 2
+    # the names the benchmark imports give the same records
+    assert verify_v2_counts(20, ctx) == check
+    assert verify_v3_counts(20, ctx) == verify_counts(20, ctx, 3)
+
+
+def test_predicted_counts_are_keyed_like_the_counted_generators(ctx):
+    for n in (2, 20):
+        assert _predicted(n, ctx).keys() == COUNTED.keys()
+    assert COUNTED.keys() <= ALGORITHMS.keys()
 
 
 def test_ratio_table_scan(ctx):

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from ascpart import CountContext, checks
+from ascpart import COUNTED, CountContext, checks
 
 
 def _result(change):
@@ -48,20 +48,26 @@ def _pentagonal_entry(k):
      "pentagonal p(40) vs p(40, 1)"),
     (checks.cross_paths, 8, None, "_product_count", _result(lambda v: v + 1),
      "product path at (2,1,1)"),
-    (checks.op_counts, 8, checks, "verify_v3_counts",
-     _result(lambda c: replace(c, actual_assignments=c.actual_assignments + 1)), "v3 at n=2"),
+    (checks.op_counts, 8, COUNTED, 3,
+     _result(lambda ops: replace(ops, assignments=ops.assignments + 1)), "v3 at n=2"),
+    (checks.op_counts, 8, COUNTED, 3, _result(lambda ops: replace(ops, visits=ops.visits + 1)),
+     "v3 at n=2: assignments 13 vs 13, bool evals 6 vs 6, visits 3 vs 2"),  # p(2) = 2
     (checks.trees, 8, checks, "build_strict_tree",  # the last node built is a leaf
      _result(lambda t: replace(t, labels=t.labels[:-1], children=t.children[:-1])),
      "binary tree"),
     (checks.inequalities, 100, None, "check_inequalities",
      _result(lambda r: replace(r, dominance_violations=[7])), "[7]"),
 ], ids=["worked", "missing", "swapped", "extra", "miscounted", "closed-form", "pentagonal",
-        "pentagonal-above-crossover", "product", "op-counts", "tree", "inequality"])
+        "pentagonal-above-crossover", "product", "op-counts", "op-counts-visits", "tree",
+        "inequality"])
 def test_check_fails_on_defect(monkeypatch, check, n_max, target, name, defect, names):
     ctx = CountContext()
     assert check(ctx, n_max).ok
     target = ctx if target is None else target
-    monkeypatch.setattr(target, name, defect(getattr(target, name)))
+    if isinstance(target, dict):  # a generator table
+        monkeypatch.setitem(target, name, defect(target[name]))
+    else:
+        monkeypatch.setattr(target, name, defect(getattr(target, name)))
     result = check(ctx, n_max)
     assert not result.ok and names in result.detail
 

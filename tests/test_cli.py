@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ascpart
-import ascpart.checks
-from ascpart import gen_v3
+from ascpart import ALGORITHMS, COUNTED, gen_v3
+from ascpart import cli
 from ascpart.cli import main
 from ascpart.generate import CHUNK_LINES, render_v3
 
@@ -249,6 +249,33 @@ def test_bench_csv(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def test_bench_guard_is_the_visits_bench_makes(capsys, monkeypatch, tmp_path, ctx):
+    # bench's guard, p(n) * (2 * reps + 4) summed over n, is every visit
+    # that the ALGORITHMS entries make in bench_table
+    visits = 0
+
+    def counting(gen):
+        def wrapped(n, consumer):
+            def visit(a, length):
+                nonlocal visits
+                visits += 1
+                consumer(a, length)
+            return gen(n, visit)
+        return wrapped
+
+    for alg, gen in list(ALGORITHMS.items()):
+        monkeypatch.setitem(ALGORITHMS, alg, counting(gen))
+    argv = ["bench", "--n", "8,10", "--reps", "2", "--out", str(tmp_path / "bench.csv")]
+    guard = (ctx.partition_count(8) + ctx.partition_count(10)) * (2 * 2 + 4)
+    monkeypatch.setattr(cli, "BENCH_MAX_VISITS", guard)
+    assert run(capsys, *argv)[0] == 0
+    assert visits == guard
+    monkeypatch.setattr(cli, "BENCH_MAX_VISITS", guard - 1)
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2 and visits == guard  # refused before any run
+
+
 def test_verify_passes(capsys):
     code, out = run(capsys, "verify", "--max-n", "12")
     assert code == 0
@@ -258,9 +285,8 @@ def test_verify_passes(capsys):
 
 
 def test_verify_reports_a_failing_group(capsys, monkeypatch):
-    real = ascpart.checks.verify_v3_counts
-    monkeypatch.setattr(ascpart.checks, "verify_v3_counts",
-                        lambda n, ctx: dataclasses.replace(real(n, ctx), actual_bool_evals=0))
+    real = COUNTED[3]
+    monkeypatch.setitem(COUNTED, 3, lambda n: dataclasses.replace(real(n), bool_evals=0))
     code, out = run(capsys, "verify", "--max-n", "12")
     lines = out.splitlines()
     assert code == 1 and sum(line.startswith("PASS ") for line in lines) == 5

@@ -8,6 +8,7 @@ import pytest
 from ascpart import (
     ALGORITHMS,
     COLLECT_CAP,
+    COUNTED,
     collect_compositions,
     gen_v1,
     gen_v2,
@@ -140,10 +141,11 @@ def paper_loop(gen):
 def test_counted_loop_is_the_plain_loop():
     # statement for statement, so the counted variants step through the
     # generators' states at every n
-    for plain, counted in ((gen_v2, gen_v2_counted), (gen_v3, gen_v3_counted)):
-        assert paper_loop(counted) == paper_loop(plain), counted.__name__
+    for alg, counted in COUNTED.items():
+        assert paper_loop(counted) == paper_loop(ALGORITHMS[alg]), counted.__name__
 
 
 def test_algorithm_table():
     assert sorted(ALGORITHMS) == [1, 2, 3]
     assert ALGORITHMS[2] is gen_v2
+    assert COUNTED == {2: gen_v2_counted, 3: gen_v3_counted}

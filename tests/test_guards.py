@@ -144,10 +144,10 @@ GUARDS = [
      "n_max must be >= 2, got 1"),
     ("ratio_table-cap", lambda: ratio_table(5001, CountContext()), CapacityError,
      "n=5001 exceeds the configured cap 5000"),
-    ("time_algorithm-reps", lambda: time_algorithm(10, "v2", 0), DomainError,
+    ("time_algorithm-reps", lambda: time_algorithm(10, 2, 0), DomainError,
      "reps must be >= 1, got 0"),
-    ("time_algorithm-alg", lambda: time_algorithm(10, "v9", 1), DomainError,
-     "algorithm must be one of ['v1', 'v2', 'v3'], got 'v9'"),
+    ("time_algorithm-alg", lambda: time_algorithm(10, 9, 1), DomainError,
+     "algorithm must be one of [1, 2, 3], got 9"),
 ]
 
 

@@ -1,5 +1,6 @@
 """The package loads each submodule on first use, and only then."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 import ascpart
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SUBMODULES = ("analysis", "bench", "checks", "cli", "counters", "counting", "errors",
               "generate", "oracle", "ptree", "traversal")
 
@@ -76,3 +78,29 @@ def test_dir_and_unknown_names():
     assert "__all__" in listed and set(ascpart.__all__) <= set(listed)
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         ascpart.no_such_name  # noqa: B018
+
+
+def _ascpart_reads(tree):
+    """(module, name) of each name that `tree` imports from ascpart or reads as ``ascpart.X``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ascpart":
+            yield from ((node.module, alias.name) for alias in node.names)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "ascpart"):
+            yield "ascpart", node.attr
+
+
+def test_benchmark_reads_only_exported_names():
+    # the benchmark's sources are parsed, not run: every name they read from
+    # the package, and each of probe.GENERATORS, which it reads by getattr,
+    # must stay exported
+    reads = {(path.name, *read) for path in sorted(PERFBENCH.glob("*.py"))
+             for read in _ascpart_reads(ast.parse(path.read_text()))}
+    assert any(source == "probe.py" for source, _, _ in reads)
+    for source, module, name in reads:
+        exported = ascpart.__all__ if module == "ascpart" else dir(importlib.import_module(module))
+        assert name in exported, (source, module, name)
+    probe = ast.parse((PERFBENCH / "probe.py").read_text())
+    generators = [ast.literal_eval(node.value) for node in probe.body
+                  if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "GENERATORS"]
+    assert generators and set(generators[0]) <= set(ascpart.__all__)

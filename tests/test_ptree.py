@@ -5,7 +5,6 @@ import gc
 import pytest
 
 from ascpart import (
-    CapacityError,
     DomainError,
     build_partition_tree,
     build_strict_tree,
@@ -85,15 +84,6 @@ def test_node_and_leaf_counts(ctx, n):
     bt = build_strict_tree(n)
     assert (pt.node_count, pt.leaf_count) == (2 * p, p)
     assert (bt.node_count, bt.leaf_count) == (2 * p - 1, p)
-
-
-def test_build_guards():
-    with pytest.raises(DomainError):
-        build_partition_tree(0)
-    with pytest.raises(CapacityError):
-        build_partition_tree(41)
-    with pytest.raises(CapacityError):
-        build_strict_tree(41)
 
 
 def test_decode_path_examples():

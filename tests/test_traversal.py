@@ -2,7 +2,7 @@
 
 import pytest
 
-from ascpart import DomainError, inorder_generic, inorder_v1, inorder_v2
+from ascpart import inorder_generic, inorder_v1, inorder_v2
 
 
 def _sequence(run):
@@ -82,12 +82,3 @@ def test_counter_invariants(ctx):
             assert stats.ops.pushes == stats.ops.pops
             assert stats.ops.visits == 2 * p - 1
             assert (stats.ops.assignments, stats.ops.bool_evals) == counts, n
-
-
-def test_domain_errors():
-    with pytest.raises(DomainError):
-        inorder_v1(0)
-    with pytest.raises(DomainError):
-        inorder_v2(-3)
-    with pytest.raises(DomainError):
-        inorder_generic(0)
