@@ -31,14 +31,13 @@ from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 from .counting import CountContext
-from .errors import DomainError, require_at_least
+from .errors import require_at_least, require_one_of
 from .generate import COUNTED
 
 
 def _predicted(n, ctx):
     """The paper's (assignments, bool_evals) at n, keyed like `generate.COUNTED`."""
-    if n < 2:
-        raise DomainError(f"ratios are defined for n >= 2, got {n}")
+    require_at_least(n, 2)
     p, d, r = ctx.partition_count(n), ctx.p2_closed(n), ctx.p3_closed(n)
     return {2: (4 * p + 4 * d, p + 3 * d), 3: (4 * p + 5 * r, p + 4 * r)}
 
@@ -90,6 +89,7 @@ class CountCheck:
 
 def verify_counts(n: int, ctx: CountContext, alg: int) -> CountCheck:
     """Run ``COUNTED[alg]`` at n and check it against `_predicted` and p(n)."""
+    require_one_of(alg, COUNTED, "alg")
     assignments, bool_evals = _predicted(n, ctx)[alg]
     ops = COUNTED[alg](n)
     return CountCheck(n=n, algorithm=alg,

@@ -24,7 +24,7 @@ from statistics import mean
 
 from .analysis import format_ratio, r1_exact, r2_exact
 from .counting import CountContext
-from .errors import DomainError, require_at_least
+from .errors import require_at_least, require_one_of
 from .generate import ALGORITHMS
 
 _MASK = (1 << 64) - 1
@@ -64,8 +64,7 @@ class BenchRecord:
 
 def time_algorithm(n: int, algorithm: int, reps: int) -> BenchRecord:
     """Time ``ALGORITHMS[algorithm]``: warmup, then reps measured runs."""
-    if algorithm not in ALGORITHMS:
-        raise DomainError(f"algorithm must be one of {sorted(ALGORITHMS)}, got {algorithm!r}")
+    require_one_of(algorithm, ALGORITHMS, "algorithm")
     require_at_least(reps, 1, "reps")
     gen = ALGORITHMS[algorithm]
     warm = _Checksum()
@@ -101,10 +100,11 @@ def bench_table(ns, reps: int, ctx: CountContext | None = None) -> list[BenchRow
     """One row per n: measured t1, t2, r = t1/t2, and theoretical r1, r2.
 
     Every generator must give the same checksum for every n; that is a
-    correctness condition, so a mismatch raises.  The ratios are computed
-    first, so an n outside their domain (n < 2) raises `DomainError` before
-    any generator is timed.
+    correctness condition, so a mismatch raises.  ``reps`` is checked and
+    the ratios are computed first, so ``reps < 1`` or an n outside their
+    domain (n < 2) raises `DomainError` before any generator runs.
     """
+    require_at_least(reps, 1, "reps")
     if ctx is None:
         ctx = CountContext()
     exact = [(n, r1_exact(n, ctx), r2_exact(n, ctx)) for n in ns]

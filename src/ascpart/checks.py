@@ -13,6 +13,7 @@ from operator import length_hint
 
 from .analysis import verify_counts
 from .counting import _fill_column
+from .errors import require_at_least
 from .generate import ALGORITHMS, COUNTED
 from .oracle import brute_compositions
 from .ptree import build_partition_tree, build_strict_tree
@@ -149,8 +150,10 @@ def battery(ctx, max_n):
     """Yield the six results in order, each as soon as its check is done.
 
     Generation stops at 45, cross-paths at 60 and trees at 25, whatever
-    ``max_n``; the inequalities always run to 1000.
+    ``max_n``; the inequalities always run to 1000.  ``max_n`` must be at
+    least 2, so that the operation-count sweep 2 <= n <= max_n is not empty.
     """
+    require_at_least(max_n, 2, "max_n")
     yield worked_examples(ctx, max_n)
     yield generation(ctx, min(max_n, 45))
     yield cross_paths(ctx, min(max_n, 60))

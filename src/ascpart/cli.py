@@ -49,13 +49,10 @@ def _cmd_count(args):
     from .counting import CountContext
 
     ctx = CountContext()
-    if args.ratio_t is not None:
-        value = ctx.ratio_restricted_count(args.n, args.min_part, args.ratio_t)
-    elif args.min_part != 1:
-        value = ctx.restricted_count(args.n, args.min_part)
+    if args.ratio_t is None:
+        print(ctx.restricted_count(args.n, args.min_part))
     else:
-        value = ctx.partition_count(args.n)
-    print(value)
+        print(ctx.ratio_restricted_count(args.n, args.min_part, args.ratio_t))
     return 0
 
 
@@ -128,23 +125,11 @@ def _cmd_verify(args):
     return 0 if passed == total else 1
 
 
-def _at_least(bound):
-    """argparse type: an integer no smaller than ``bound``."""
-    def integer(text):
-        value = int(text)
-        if value < bound:
-            raise argparse.ArgumentTypeError(f"must be >= {bound}, got {value}")
-        return value
-    return integer
-
-
 def _int_list(text):
     try:
         values = [int(part) for part in text.split(",") if part != ""]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
-    if any(v < 2 for v in values):
-        raise argparse.ArgumentTypeError("all n must be >= 2")
     if not values:
         raise argparse.ArgumentTypeError(f"no n given in {text!r}")
     return values
@@ -158,37 +143,36 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="print a partition count")
-    p.add_argument("n", type=_at_least(0))
-    p.add_argument("--min-part", type=_at_least(1), default=1, metavar="M")
-    p.add_argument("--ratio-t", type=_at_least(1), default=None, metavar="T")
+    p.add_argument("n", type=int)
+    p.add_argument("--min-part", type=int, default=1, metavar="M")
+    p.add_argument("--ratio-t", type=int, default=None, metavar="T")
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("generate", help="stream ascending compositions, one per line")
-    p.add_argument("n", type=_at_least(1))
-    p.add_argument("--limit", type=_at_least(1), default=None, metavar="K")
+    p.add_argument("n", type=int)
+    p.add_argument("--limit", type=int, default=None, metavar="K")
     p.add_argument("--descending", action="store_true",
                    help="print each composition with parts in descending order")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("verify", help="run the self-verification battery")
-    # below 2 the operation-count sweep 2 <= n <= max_n is empty
-    p.add_argument("--max-n", type=_at_least(2), default=60)
+    p.add_argument("--max-n", type=int, default=60)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("tree", help="emit a tree as DOT")
-    p.add_argument("n", type=_at_least(1))
+    p.add_argument("n", type=int)
     p.add_argument("--kind", choices=("partition", "binary"), required=True)
     p.add_argument("--out", default=None, metavar="PATH")
     p.set_defaults(func=_cmd_tree)
 
     p = sub.add_parser("ratios", help="CSV of theoretical cost ratios")
-    p.add_argument("--max-n", type=_at_least(2), default=1500)
+    p.add_argument("--max-n", type=int, default=1500)
     p.add_argument("--out", default=None, metavar="PATH")
     p.set_defaults(func=_cmd_ratios)
 
     p = sub.add_parser("bench", help="time the generators and emit CSV")
     p.add_argument("--n", type=_int_list, required=True, metavar="N1,N2,...")
-    p.add_argument("--reps", type=_at_least(1), default=10)
+    p.add_argument("--reps", type=int, default=10)
     p.add_argument("--out", default=None, metavar="PATH")
     p.set_defaults(func=_cmd_bench)
 

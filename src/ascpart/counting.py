@@ -71,7 +71,7 @@ DEFAULT_CAP = 5000
 def _validate_nmt(n, m, t):
     require_at_least(t, 1, "ratio factor")
     require_at_least(m, 1, "minimum part")
-    require_within(n, DEFAULT_CAP, "configured")
+    require_within(n, DEFAULT_CAP, "count")
 
 
 def _fill_partition_numbers(length):
@@ -209,7 +209,7 @@ class CountContext:
     def partition_count(self, n: int) -> int:
         """p(n): number of partitions of n (p(0) = 1), by Euler's recurrence."""
         require_at_least(n, 0)
-        require_within(n, DEFAULT_CAP, "configured")
+        require_within(n, DEFAULT_CAP, "count")
         return self._column((1, 1), n)[n]
 
     def _p(self, n):
@@ -280,7 +280,7 @@ class CountContext:
         holds) and, for n >= 2, triple-ratio(n) <= double-ratio(n-1).
         Both are expected to hold everywhere.
         """
-        require_within(n_max, DEFAULT_CAP, "configured", "n_max")
+        require_within(n_max, DEFAULT_CAP, "count", "n_max")
         self._p(n_max)  # one fill of the p column, not one per doubling
         growth_violations = []
         growth_equalities = []

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, require_at_least, require_within
+from .errors import require_at_least, require_one_of, require_within
 
 # The counted variants import OpCounters, named in their annotations, when
 # called: it loads dataclasses, which the plain generators do without.
@@ -399,8 +399,7 @@ COUNTED = {2: gen_v2_counted, 3: gen_v3_counted}
 
 def collect_compositions(n: int, alg: int = 3) -> list[tuple[int, ...]]:
     """Materialize all ascending compositions of n (guarded; tests/demos only)."""
-    if alg not in ALGORITHMS:
-        raise DomainError(f"alg must be one of {sorted(ALGORITHMS)}, got {alg}")
+    require_one_of(alg, ALGORITHMS, "alg")
     require_at_least(n, 1)
     require_within(n, COLLECT_CAP, "collector")
     out = []

@@ -2,6 +2,7 @@
 
 import dataclasses
 import errno
+import io
 import os
 import signal
 import subprocess
@@ -318,18 +319,29 @@ def test_usage_errors_exit_two(argv, tmp_path):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("bench", "--n", "5,1"), "argument --n: all n must be >= 2"),
-    (("ratios", "--max-n", "1"), "argument --max-n: must be >= 2, got 1"),
+    (("bench", "--n", "5,1"), "n must be >= 2, got 1"),
+    (("ratios", "--max-n", "1"), "n_max must be >= 2, got 1"),
+    (("verify", "--max-n", "1"), "max_n must be >= 2, got 1"),
+    (("count", "5", "--ratio-t", "0"), "ratio factor must be >= 1, got 0"),
+    (("generate", "5", "--limit", "-1"), "limit must be >= 0, got -1"),
     # the visit guard fires before p(n) reaches the count cap
-    (("verify", "--max-n", "90000"), "more than 1e+09; call ascpart.checks.battery"),
-])
-def test_lower_bounds_are_argparse_bounds(argv, message, capsys):
+    (("verify", "--max-n", "90000"), "verify would visit 1.1e+09 compositions, more than "
+                                     "1e+09; call ascpart.checks.battery for larger runs"),
+], ids=["bench-n", "ratios-max-n", "verify-max-n", "count-ratio-t", "generate-limit",
+        "verify-visits"])
+def test_bounds_are_the_library_guards(argv, message, capsys):
+    # argparse only parses: each bound is the library's, printed in one shape
     with pytest.raises(SystemExit) as err:
         main(list(argv))
     captured = capsys.readouterr()
     assert err.value.code == 2
-    assert message in captured.err
+    assert captured.err.splitlines()[0].startswith("usage: ascpart [-h]")
+    assert captured.err.splitlines()[-1] == f"ascpart: error: {message}"
     assert captured.out == ""  # bench never reached its CSV header
+
+
+def test_generate_limit_zero_prints_nothing(capsys):
+    assert run(capsys, "generate", "5", "--limit", "0") == (0, "")
 
 
 def _arg(lo, hi):
@@ -368,9 +380,11 @@ ARGV = st.one_of(
 def test_any_argv_exits_with_a_code(argv, tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("argv")
     argv = [arg.format(dir=out_dir) for arg in argv]
+    out = io.StringIO()
     try:
-        with open(os.devnull, "w") as null, redirect_stdout(null), redirect_stderr(null):
+        with open(os.devnull, "w") as null, redirect_stdout(out), redirect_stderr(null):
             code = main(argv)
     except SystemExit as exc:
         code = exc.code
     assert code in (0, 1, 2), argv
+    assert code != 2 or out.getvalue() == "", argv  # a rejected input prints nothing

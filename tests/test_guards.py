@@ -8,6 +8,7 @@ import pytest
 
 import ascpart
 from ascpart import (
+    ALGORITHMS,
     CapacityError,
     CountContext,
     DomainError,
@@ -20,8 +21,9 @@ from ascpart import (
     gen_v3,
     gen_v3_counted,
 )
-from ascpart.analysis import r1_exact, r2_exact, ratio_table
-from ascpart.bench import time_algorithm
+from ascpart.analysis import r1_exact, r2_exact, ratio_table, verify_counts
+from ascpart.bench import bench_table, time_algorithm
+from ascpart.checks import battery
 from ascpart.generate import render_v3
 from ascpart.oracle import brute_compositions, brute_ratio_count
 from ascpart.traversal import inorder_generic, inorder_v1, inorder_v2
@@ -29,6 +31,16 @@ from ascpart.traversal import inorder_generic, inorder_v1, inorder_v2
 
 def _sink(a, length):
     pass
+
+
+def _no_generator_runs(call, *args):
+    """``call(*args)`` with every `ALGORITHMS` entry failing if it runs."""
+    def refuse(n, consumer):
+        raise AssertionError("a generator ran before the guard")
+    with pytest.MonkeyPatch.context() as patch:
+        for alg in ALGORITHMS:
+            patch.setitem(ALGORITHMS, alg, refuse)
+        return call(*args)
 
 
 def _ctx(method, *args):
@@ -91,28 +103,28 @@ GUARDS = [
     ("ratio_restricted-m-first", _ctx("ratio_restricted_count", 5001, 0, 2), DomainError,
      "minimum part must be >= 1, got 0"),
     ("ratio_restricted-cap", _ctx("ratio_restricted_count", 5001, 1, 2), CapacityError,
-     "n=5001 exceeds the configured cap 5000"),
+     "n=5001 exceeds the count cap 5000"),
     ("ratio_count-n", _ctx("ratio_count", 0, 2), DomainError, "n must be >= 1, got 0"),
     ("ratio_count-t", _ctx("ratio_count", 5, 0), DomainError,
      "ratio factor must be >= 1, got 0"),
     ("ratio_count-cap", _ctx("ratio_count", 5001, 3), CapacityError,
-     "n=5001 exceeds the configured cap 5000"),
+     "n=5001 exceeds the count cap 5000"),
     ("restricted-n", _ctx("restricted_count", -1, 1), DomainError, "n must be >= 0, got -1"),
     ("restricted-m", _ctx("restricted_count", 5, 0), DomainError,
      "minimum part must be >= 1, got 0"),
     ("restricted-m-at-0", _ctx("restricted_count", 0, 0), DomainError,
      "minimum part must be >= 1, got 0"),
     ("restricted-cap", _ctx("restricted_count", 5001, 7), CapacityError,
-     "n=5001 exceeds the configured cap 5000"),
+     "n=5001 exceeds the count cap 5000"),
     ("partition-n", _ctx("partition_count", -1), DomainError, "n must be >= 0, got -1"),
     ("partition-cap", _ctx("partition_count", 5001), CapacityError,
-     "n=5001 exceeds the configured cap 5000"),
+     "n=5001 exceeds the count cap 5000"),
     ("via_sum-t", _ctx("ratio_count_via_sum", 15, 3, 0), DomainError,
      "ratio factor must be >= 1, got 0"),
     ("via_sum-m", _ctx("ratio_count_via_sum", 15, 0, 2), DomainError,
      "minimum part must be >= 1, got 0"),
     ("via_sum-cap", _ctx("ratio_count_via_sum", 5001, 1, 2), CapacityError,
-     "n=5001 exceeds the configured cap 5000"),
+     "n=5001 exceeds the count cap 5000"),
     ("via_sum-domain", _ctx("ratio_count_via_sum", 15, 6, 2), DomainError,
      "need 1 <= m <= n // (t + 1) = 5, got m=6"),
     ("via_reduction-t", _ctx("ratio_count_via_reduction", 15, 3, 0), DomainError,
@@ -120,7 +132,7 @@ GUARDS = [
     ("via_reduction-m", _ctx("ratio_count_via_reduction", 15, 0, 2), DomainError,
      "minimum part must be >= 1, got 0"),
     ("via_reduction-cap", _ctx("ratio_count_via_reduction", 5001, 1, 2), CapacityError,
-     "n=5001 exceeds the configured cap 5000"),
+     "n=5001 exceeds the count cap 5000"),
     ("via_reduction-t1", _ctx("ratio_count_via_reduction", 15, 3, 1), DomainError,
      "need n > t > 1, got n=15, t=1"),
     ("via_reduction-n", _ctx("ratio_count_via_reduction", 3, 1, 3), DomainError,
@@ -129,25 +141,32 @@ GUARDS = [
      "need m <= n // (t + 1) = 5, got m=6"),
     ("p2_closed-n", _ctx("p2_closed", 0), DomainError, "n must be >= 1, got 0"),
     ("p2_closed-cap", _ctx("p2_closed", 5001), CapacityError,
-     "n=5001 exceeds the configured cap 5000"),
+     "n=5001 exceeds the count cap 5000"),
     ("p3_closed-n", _ctx("p3_closed", 0), DomainError, "n must be >= 1, got 0"),
     ("p3_closed-cap", _ctx("p3_closed", 5001), CapacityError,
-     "n=5001 exceeds the configured cap 5000"),
+     "n=5001 exceeds the count cap 5000"),
     ("check_inequalities-cap", _ctx("check_inequalities", 5001), CapacityError,
-     "n_max=5001 exceeds the configured cap 5000"),
+     "n_max=5001 exceeds the count cap 5000"),
     # analysis and bench
-    ("r1_exact", lambda: r1_exact(1, CountContext()), DomainError,
-     "ratios are defined for n >= 2, got 1"),
-    ("r2_exact", lambda: r2_exact(0, CountContext()), DomainError,
-     "ratios are defined for n >= 2, got 0"),
+    ("r1_exact", lambda: r1_exact(1, CountContext()), DomainError, "n must be >= 2, got 1"),
+    ("r2_exact", lambda: r2_exact(0, CountContext()), DomainError, "n must be >= 2, got 0"),
+    ("verify_counts-alg", lambda: verify_counts(10, CountContext(), 1), DomainError,
+     "alg must be one of [2, 3], got 1"),
+    ("verify_counts-n", lambda: verify_counts(1, CountContext(), 2), DomainError,
+     "n must be >= 2, got 1"),
     ("ratio_table-n_max", lambda: ratio_table(1, CountContext()), DomainError,
      "n_max must be >= 2, got 1"),
     ("ratio_table-cap", lambda: ratio_table(5001, CountContext()), CapacityError,
-     "n=5001 exceeds the configured cap 5000"),
+     "n=5001 exceeds the count cap 5000"),
     ("time_algorithm-reps", lambda: time_algorithm(10, 2, 0), DomainError,
      "reps must be >= 1, got 0"),
     ("time_algorithm-alg", lambda: time_algorithm(10, 9, 1), DomainError,
      "algorithm must be one of [1, 2, 3], got 9"),
+    ("bench_table-reps", lambda: _no_generator_runs(bench_table, [50], 0), DomainError,
+     "reps must be >= 1, got 0"),
+    # checks
+    ("battery-max_n", lambda: next(battery(CountContext(), 1)), DomainError,
+     "max_n must be >= 2, got 1"),
 ]
 
 
@@ -160,22 +179,26 @@ def test_guard_message(call, error, message):
 
 
 def _guard_raises(tree):
-    """(exception name, source) of each ``raise`` of a CapacityError or a ">=" DomainError."""
+    """(exception name, source) of each ``raise`` of a CapacityError, or of any
+    exception whose message holds ">=" or "must be one of", argparse's
+    ArgumentTypeError included."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Raise) and node.exc is not None:
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
             name = ast.unparse(exc)
             source = ast.unparse(node)
-            if name == "CapacityError" or (name == "DomainError" and "must be >=" in source):
+            if name == "CapacityError" or ">=" in source or "must be one of" in source:
                 yield name, source
 
 
 def test_bounds_and_caps_are_raised_only_in_errors():
-    # every lower bound and size cap goes through errors.require_at_least and
-    # errors.require_within, so their messages keep one format
+    # every lower bound, size cap and set of choices goes through
+    # errors.require_at_least, require_within and require_one_of, so their
+    # messages keep one format, and the CLI states none of them again
     package = Path(ascpart.__file__).parent
     found = {path.name: list(_guard_raises(ast.parse(path.read_text())))
              for path in sorted(package.glob("*.py"))}
     in_errors = found.pop("errors.py")
     assert {module: raises for module, raises in found.items() if raises} == {}
-    assert sorted(name for name, _ in in_errors) == ["CapacityError", "DomainError"]
+    assert sorted(name for name, _ in in_errors) == ["CapacityError", "DomainError",
+                                                     "DomainError"]
