@@ -22,8 +22,8 @@ _EXPORTS = {
     "counters": ("OpCounters",),
     "counting": ("DEFAULT_CAP", "CountContext", "InequalityReport"),
     "errors": ("AscpartError", "CapacityError", "DomainError"),
-    "generate": ("ALGORITHMS", "COLLECT_CAP", "COUNTED", "collect_compositions", "gen_v1",
-                 "gen_v2", "gen_v2_counted", "gen_v3", "gen_v3_counted"),
+    "generate": ("ALGORITHMS", "COLLECT_CAP", "COUNTED", "VISIT_CAP", "collect_compositions",
+                 "gen_v1", "gen_v2", "gen_v2_counted", "gen_v3", "gen_v3_counted"),
     "oracle": ("ORACLE_CAP", "brute_compositions", "brute_ratio_count", "has_ratio_property"),
     "ptree": ("MATERIALIZE_CAP", "Tree", "build_partition_tree", "build_strict_tree",
               "decode_path", "iter_root_to_leaf_paths", "strict_left_child",

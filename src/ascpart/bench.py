@@ -11,7 +11,9 @@ Protocol, single-threaded: each generator of `generate.ALGORITHMS`, in the
 table's order, gets one untimed warmup run and then timed runs: ``reps`` of
 them for the two generators the CSV compares, and one for each other, used
 only for its checksum.  r(n) = t1 / t2 where t1 is gen_v3's mean time and
-t2 is gen_v2's.
+t2 is gen_v2's.  So a table visits p(n) * 2 * (len(ALGORITHMS) - 1 + reps)
+compositions per n, and `bench_table` refuses one whose total over its n
+would pass `generate.VISIT_CAP`.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from statistics import mean
 
 from .analysis import format_ratio, r1_exact, r2_exact
 from .counting import CountContext
-from .errors import require_at_least, require_one_of
-from .generate import ALGORITHMS
+from .errors import require_at_least, require_one_of, require_within
+from .generate import ALGORITHMS, VISIT_CAP
 
 _MASK = (1 << 64) - 1
 _BASE = 1_000_003
@@ -100,14 +102,17 @@ def bench_table(ns, reps: int, ctx: CountContext | None = None) -> list[BenchRow
     """One row per n: measured t1, t2, r = t1/t2, and theoretical r1, r2.
 
     Every generator must give the same checksum for every n; that is a
-    correctness condition, so a mismatch raises.  ``reps`` is checked and
-    the ratios are computed first, so ``reps < 1`` or an n outside their
-    domain (n < 2) raises `DomainError` before any generator runs.
+    correctness condition, so a mismatch raises.  ``reps`` is checked, the
+    ratios are computed and the visits are summed first, so ``reps < 1`` or
+    an n outside their domain (n < 2) raises `DomainError`, and a table past
+    the visit cap `CapacityError`, before any generator runs.
     """
     require_at_least(reps, 1, "reps")
     if ctx is None:
         ctx = CountContext()
     exact = [(n, r1_exact(n, ctx), r2_exact(n, ctx)) for n in ns]
+    visits = sum(ctx.partition_count(n) for n, _, _ in exact) * 2 * (len(ALGORITHMS) - 1 + reps)
+    require_within(visits, VISIT_CAP, "visit", "visits")
     rows = []
     for n, r1, r2 in exact:
         recs = {alg: time_algorithm(n, alg, reps if alg in (2, 3) else 1) for alg in ALGORITHMS}

@@ -13,8 +13,8 @@ from operator import length_hint
 
 from .analysis import verify_counts
 from .counting import _fill_column
-from .errors import require_at_least
-from .generate import ALGORITHMS, COUNTED
+from .errors import require_at_least, require_within
+from .generate import ALGORITHMS, COUNTED, VISIT_CAP
 from .oracle import brute_compositions
 from .ptree import build_partition_tree, build_strict_tree
 
@@ -151,9 +151,19 @@ def battery(ctx, max_n):
 
     Generation stops at 45, cross-paths at 60 and trees at 25, whatever
     ``max_n``; the inequalities always run to 1000.  ``max_n`` must be at
-    least 2, so that the operation-count sweep 2 <= n <= max_n is not empty.
+    least 2, so that the operation-count sweep 2 <= n <= max_n is not empty,
+    and that sweep, len(COUNTED) * p(n) visits for each n, may visit at most
+    `generate.VISIT_CAP` compositions in all.  Both are checked before the
+    first result.
     """
     require_at_least(max_n, 2, "max_n")
+    # the sum stops once past the cap, before p(n) could pass the count cap
+    visits = 0
+    for n in range(2, max_n + 1):
+        visits += len(COUNTED) * ctx.partition_count(n)
+        if visits > VISIT_CAP:
+            break
+    require_within(visits, VISIT_CAP, "visit", "visits")
     yield worked_examples(ctx, max_n)
     yield generation(ctx, min(max_n, 45))
     yield cross_paths(ctx, min(max_n, 60))

@@ -59,6 +59,10 @@ from .errors import require_at_least, require_one_of, require_within
 # demos only (p(45) = 89134 already).
 COLLECT_CAP = 45
 
+# Visit guard of `bench.bench_table` and `checks.battery`: at a few hundred
+# ns per visit, 10**9 visits is several minutes of bench or verify.
+VISIT_CAP = 10**9
+
 # Lines per chunk from `render_v3`: enough to make per-chunk costs vanish,
 # few enough that a chunk stays small beside the interpreter's own memory.
 CHUNK_LINES = 256

@@ -7,6 +7,7 @@ import pytest
 
 from ascpart import (
     ALGORITHMS,
+    CapacityError,
     DomainError,
     bench_table,
     r1_exact,
@@ -87,3 +88,33 @@ def test_bench_table_checks_every_n_before_timing(monkeypatch):
     with pytest.raises(DomainError, match="got 1"):
         bench_table([5, 1], reps=1)
     assert calls == []
+
+
+def test_bench_guard_is_the_visits_bench_makes(monkeypatch, ctx):
+    # bench_table's guard is every visit that the ALGORITHMS entries make:
+    # a table runs at a cap of exactly that many, and not one below it
+    visits = 0
+
+    def counting(gen):
+        def wrapped(n, consumer):
+            def visit(a, length):
+                nonlocal visits
+                visits += 1
+                consumer(a, length)
+            return gen(n, visit)
+        return wrapped
+
+    for alg, gen in list(ALGORITHMS.items()):
+        monkeypatch.setitem(ALGORITHMS, alg, counting(gen))
+    bench_table([8, 10], reps=2, ctx=ctx)
+    made = visits
+    p = ctx.partition_count(8) + ctx.partition_count(10)
+    assert made == p * 2 * (len(ALGORITHMS) - 1 + 2)  # the bench protocol at reps = 2
+    # bench imports generate's VISIT_CAP, so bench.VISIT_CAP is the cap it reads
+    monkeypatch.setattr(bench, "VISIT_CAP", made)
+    bench_table([8, 10], reps=2, ctx=ctx)
+    assert visits == 2 * made
+    monkeypatch.setattr(bench, "VISIT_CAP", made - 1)
+    with pytest.raises(CapacityError, match=f"^visits={made} exceeds the visit cap {made - 1}$"):
+        bench_table([8, 10], reps=2, ctx=ctx)
+    assert visits == 2 * made  # refused before any run

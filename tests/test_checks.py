@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from ascpart import COUNTED, CountContext, checks
+from ascpart import COUNTED, CapacityError, CountContext, checks
 
 
 def _result(change):
@@ -89,3 +89,31 @@ def test_cached_column_defect_is_blamed_on_the_served_count():
 def test_inequalities_pass_below_the_last_equality(n_max):
     # growth holds with equality for n <= 6, so short sweeps see fewer of them
     assert checks.inequalities(CountContext(), n_max).ok
+
+
+def test_battery_guard_is_the_visits_op_counts_makes(monkeypatch, ctx):
+    # battery's guard is every visit that the COUNTED entries make: the
+    # battery runs at a cap of exactly that many, and not one below it
+    visits = 0
+
+    def counting(gen):
+        def wrapped(n):
+            nonlocal visits
+            tallies = gen(n)
+            visits += tallies.visits
+            return tallies
+        return wrapped
+
+    for alg, gen in list(COUNTED.items()):
+        monkeypatch.setitem(COUNTED, alg, counting(gen))
+    assert all(result.ok for result in checks.battery(ctx, 12))
+    made = visits
+    assert made == len(COUNTED) * sum(ctx.partition_count(n) for n in range(2, 13))
+    # checks imports generate's VISIT_CAP, so checks.VISIT_CAP is the cap it reads
+    monkeypatch.setattr(checks, "VISIT_CAP", made)
+    assert all(result.ok for result in checks.battery(ctx, 12))
+    assert visits == 2 * made
+    monkeypatch.setattr(checks, "VISIT_CAP", made - 1)
+    with pytest.raises(CapacityError, match=f"^visits={made} exceeds the visit cap {made - 1}$"):
+        next(checks.battery(ctx, 12))
+    assert visits == 2 * made  # refused before the first check

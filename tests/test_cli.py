@@ -15,8 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ascpart
-from ascpart import ALGORITHMS, COUNTED, gen_v3
-from ascpart import cli
+from ascpart import COUNTED, gen_v3
 from ascpart.cli import main
 from ascpart.generate import CHUNK_LINES, render_v3
 
@@ -250,33 +249,6 @@ def test_bench_csv(tmp_path, capsys):
     assert len(lines) == 3
 
 
-def test_bench_guard_is_the_visits_bench_makes(capsys, monkeypatch, tmp_path, ctx):
-    # bench's guard, p(n) * (2 * reps + 4) summed over n, is every visit
-    # that the ALGORITHMS entries make in bench_table
-    visits = 0
-
-    def counting(gen):
-        def wrapped(n, consumer):
-            def visit(a, length):
-                nonlocal visits
-                visits += 1
-                consumer(a, length)
-            return gen(n, visit)
-        return wrapped
-
-    for alg, gen in list(ALGORITHMS.items()):
-        monkeypatch.setitem(ALGORITHMS, alg, counting(gen))
-    argv = ["bench", "--n", "8,10", "--reps", "2", "--out", str(tmp_path / "bench.csv")]
-    guard = (ctx.partition_count(8) + ctx.partition_count(10)) * (2 * 2 + 4)
-    monkeypatch.setattr(cli, "BENCH_MAX_VISITS", guard)
-    assert run(capsys, *argv)[0] == 0
-    assert visits == guard
-    monkeypatch.setattr(cli, "BENCH_MAX_VISITS", guard - 1)
-    with pytest.raises(SystemExit) as err:
-        main(argv)
-    assert err.value.code == 2 and visits == guard  # refused before any run
-
-
 def test_verify_passes(capsys):
     code, out = run(capsys, "verify", "--max-n", "12")
     assert code == 0
@@ -320,15 +292,15 @@ def test_usage_errors_exit_two(argv, tmp_path):
 
 @pytest.mark.parametrize("argv, message", [
     (("bench", "--n", "5,1"), "n must be >= 2, got 1"),
+    (("bench", "--n", "-1"), "n must be >= 2, got -1"),
     (("ratios", "--max-n", "1"), "n_max must be >= 2, got 1"),
     (("verify", "--max-n", "1"), "max_n must be >= 2, got 1"),
     (("count", "5", "--ratio-t", "0"), "ratio factor must be >= 1, got 0"),
     (("generate", "5", "--limit", "-1"), "limit must be >= 0, got -1"),
     # the visit guard fires before p(n) reaches the count cap
-    (("verify", "--max-n", "90000"), "verify would visit 1.1e+09 compositions, more than "
-                                     "1e+09; call ascpart.checks.battery for larger runs"),
-], ids=["bench-n", "ratios-max-n", "verify-max-n", "count-ratio-t", "generate-limit",
-        "verify-visits"])
+    (("verify", "--max-n", "90000"), "visits=1059569812 exceeds the visit cap 1000000000"),
+], ids=["bench-n", "bench-n-negative", "ratios-max-n", "verify-max-n", "count-ratio-t",
+        "generate-limit", "verify-visits"])
 def test_bounds_are_the_library_guards(argv, message, capsys):
     # argparse only parses: each bound is the library's, printed in one shape
     with pytest.raises(SystemExit) as err:

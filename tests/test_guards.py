@@ -164,9 +164,13 @@ GUARDS = [
      "algorithm must be one of [1, 2, 3], got 9"),
     ("bench_table-reps", lambda: _no_generator_runs(bench_table, [50], 0), DomainError,
      "reps must be >= 1, got 0"),
+    ("bench_table-visits", lambda: _no_generator_runs(bench_table, [130], 1), CapacityError,
+     "visits=32227892400 exceeds the visit cap 1000000000"),
     # checks
     ("battery-max_n", lambda: next(battery(CountContext(), 1)), DomainError,
      "max_n must be >= 2, got 1"),
+    ("battery-visits", lambda: next(battery(CountContext(), 91)), CapacityError,
+     "visits=1059569812 exceeds the visit cap 1000000000"),
 ]
 
 
@@ -180,21 +184,22 @@ def test_guard_message(call, error, message):
 
 def _guard_raises(tree):
     """(exception name, source) of each ``raise`` of a CapacityError, or of any
-    exception whose message holds ">=" or "must be one of", argparse's
-    ArgumentTypeError included."""
+    exception whose message holds ">=", "must be one of", "more than" or
+    "exceeds", argparse's ArgumentTypeError included."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Raise) and node.exc is not None:
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
             name = ast.unparse(exc)
             source = ast.unparse(node)
-            if name == "CapacityError" or ">=" in source or "must be one of" in source:
+            if name == "CapacityError" or any(
+                    text in source for text in (">=", "must be one of", "more than", "exceeds")):
                 yield name, source
 
 
 def test_bounds_and_caps_are_raised_only_in_errors():
-    # every lower bound, size cap and set of choices goes through
-    # errors.require_at_least, require_within and require_one_of, so their
-    # messages keep one format, and the CLI states none of them again
+    # every lower bound, size cap (the visit cap included) and set of choices
+    # goes through errors.require_at_least, require_within and require_one_of,
+    # so their messages keep one format, and the CLI states none of them again
     package = Path(ascpart.__file__).parent
     found = {path.name: list(_guard_raises(ast.parse(path.read_text())))
              for path in sorted(package.glob("*.py"))}
