@@ -50,7 +50,7 @@ def _cmd_count(args):
 
 
 def _cmd_generate(args):
-    from .generate import render_v3
+    from .render import render_v3
 
     # sys.stdout is looked up per call: callers swap it with redirect_stdout
     sys.stdout.writelines(render_v3(args.n, args.descending, args.limit))

@@ -20,9 +20,6 @@ that read defined (the loop then exits).
   and one visit per composition beyond the descent work.
 * `gen_v3` additionally walks compositions that differ only in their last
   two parts without touching the descent loop at all.
-* `render_v3` is `gen_v3`'s loop emitting text lines instead of visits,
-  with the rendered prefix kept across the lines that share it, in either
-  order of parts; it is what ``ascpart generate`` prints.
 
 `ALGORITHMS` maps each generator's key to its plain loop, and `COUNTED` maps
 the same key to its counted loop: `gen_v2_counted` / `gen_v3_counted` are
@@ -48,8 +45,6 @@ per visit; they keep no other tallies, so timing runs stay undistorted.
 
 from __future__ import annotations
 
-import math
-
 from .errors import require_at_least, require_one_of, require_within
 
 # The counted variants import OpCounters, named in their annotations, when
@@ -62,10 +57,6 @@ COLLECT_CAP = 45
 # Visit guard of `bench.bench_table` and `checks.battery`: at a few hundred
 # ns per visit, 10**9 visits is several minutes of bench or verify.
 VISIT_CAP = 10**9
-
-# Lines per chunk from `render_v3`: enough to make per-chunk costs vanish,
-# few enough that a chunk stays small beside the interpreter's own memory.
-CHUNK_LINES = 256
 
 
 def gen_v1(n: int, consumer) -> int:
@@ -199,83 +190,6 @@ def gen_v3(n: int, consumer) -> int:
         k -= 1
         x = a[k] + 1
     return count
-
-
-def _join(lines, descending):
-    return "".join(lines[::-1])[::-1] if descending else "".join(lines)
-
-
-def render_v3(n: int, descending: bool = False, limit: int | None = None):
-    """`gen_v3`'s compositions of n as text, yielded in chunks of lines.
-
-    Each line is one composition: its parts in ascending order (largest
-    first with ``descending``), separated by single spaces, ending in a
-    newline.  A chunk is one string of at least `CHUNK_LINES` lines; the
-    last one may be shorter.  With ``limit`` only the first ``limit`` lines
-    are rendered and yielded.
-
-    The loop is `gen_v3`'s.  The text of a_1..a_{k-1} is the same for
-    every line emitted at depth k, so it is kept rendered in ``text``: a
-    descent appends its run of equal parts at once, and backtracking cuts
-    the last part off again.  A line is then that text plus one to three
-    lookups in per-part string tables.  A descending line is the character
-    reversal of the ascending line of the character-reversed parts, so
-    both orders run the same loop: the descending one with reversed tables
-    and a leading newline, reversing each chunk once as it is yielded.
-    Holding one string, not one per depth, keeps memory linear in n.
-    """
-    require_at_least(n, 1)
-    if limit is not None:
-        require_at_least(limit, 0, "limit")
-    left = math.inf if limit is None else limit  # lines still to yield
-    # descending: each part reversed, and the newline leads instead of ending
-    step, end, text = (-1, "", "\n") if descending else (1, "\n", "")
-    # a part that is not last is at most n // 2; n = 1's last pass reads sp[1] * 0
-    sp = [str(i)[::step] + " " for i in range(max(n // 2, 1) + 1)]
-    last = [str(i)[::step] + end for i in range(n + 1)]
-    a = [0] * (n + 3)  # only the descent's parts are stored: backtracking reads them
-    k = 1
-    x = 1
-    y = n - 1
-    lines = []
-    emit = lines.append
-    while k > 0:
-        top = k
-        while 3 * x <= y:
-            a[k] = x
-            y -= x
-            k += 1
-        text += sp[x] * (k - top)
-        while 2 * x <= y:
-            head = text + sp[x]
-            p = x
-            q = y - x
-            while p <= q:
-                emit(head + sp[p] + last[q])
-                p += 1
-                q -= 1
-            emit(head + last[y])
-            x += 1
-            y -= 1
-        while x <= y:
-            emit(text + sp[x] + last[y])
-            x += 1
-            y -= 1
-        y += x - 1
-        emit(text + last[y + 1])
-        k -= 1
-        text = text[:-len(sp[a[k]])]
-        x = a[k] + 1
-        if len(lines) >= left:
-            del lines[left:]
-            break
-        if len(lines) >= CHUNK_LINES:
-            yield _join(lines, descending)
-            left -= len(lines)
-            lines = []
-            emit = lines.append
-    if lines:
-        yield _join(lines, descending)
 
 
 def gen_v2_counted(n: int) -> OpCounters:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import ascpart
 from ascpart import COUNTED, gen_v3
 from ascpart.cli import main
-from ascpart.generate import CHUNK_LINES, render_v3
+from ascpart.render import CHUNK_LINES, render_v3
 
 
 def run(capsys, *argv):
@@ -138,6 +138,18 @@ def test_render_v3_yields_exactly_limit_lines(descending):
         text = "".join(render_v3(3000, descending, limit))
         assert text.count("\n") == limit
         assert text.startswith(" ".join(["1"] * 3000) + "\n")
+
+
+@pytest.mark.parametrize("descending", [False, True])
+def test_render_v3_cuts_blocks_at_every_line(descending):
+    # up to n = 16 the whole output is one cached block, and at 17 and 18
+    # the blocks sit between lines rendered one by one and chunk boundaries
+    for n in range(1, 19):
+        want = reference_lines(n, descending)
+        for limit in range(len(want) + 2):
+            chunks = list(render_v3(n, descending, limit))
+            assert "".join(chunks) == "".join(want[:limit]), (n, limit)
+            assert all(chunk.count("\n") >= CHUNK_LINES for chunk in chunks[:-1]), (n, limit)
 
 
 def ascpart_command(*argv):

@@ -24,8 +24,8 @@ from ascpart import (
 from ascpart.analysis import r1_exact, r2_exact, ratio_table, verify_counts
 from ascpart.bench import bench_table, time_algorithm
 from ascpart.checks import battery
-from ascpart.generate import render_v3
 from ascpart.oracle import brute_compositions, brute_ratio_count
+from ascpart.render import render_v3
 from ascpart.traversal import inorder_generic, inorder_v1, inorder_v2
 
 

@@ -13,7 +13,7 @@ import ascpart
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SUBMODULES = ("analysis", "bench", "checks", "cli", "counters", "counting", "errors",
-              "generate", "oracle", "ptree", "traversal")
+              "generate", "oracle", "ptree", "render", "traversal")
 
 
 def modules_loaded_by(code):
@@ -39,7 +39,7 @@ def test_import_loads_no_submodule():
 def test_generate_loads_only_what_it_runs():
     loaded = modules_loaded_by("from ascpart.cli import main\nmain(['generate', '5'])")
     assert {name for name in loaded if name.startswith("ascpart")} == {
-        "ascpart", "ascpart.cli", "ascpart.errors", "ascpart.generate"}
+        "ascpart", "ascpart.cli", "ascpart.errors", "ascpart.render"}
     assert "dataclasses" not in loaded
 
 
