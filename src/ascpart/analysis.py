@@ -7,9 +7,10 @@ operations:
     gen_v3: 4 p(n) + 5 r(n)  assignments,  p(n) + 4 r(n)  boolean evals
 
 where d(n) / r(n) are the t = 2 / t = 3 ratio counts from `counting`.
-`_predicted` holds these formulas under the keys of `generate.COUNTED`, and
-`verify_counts(n, ctx, alg)` runs ``COUNTED[alg]`` at n and compares its
-tallies with them, and its visits with p(n).
+`_formulas` holds these formulas under the keys of `generate.COUNTED`;
+`_predicted` reads p(n), d(n) and r(n) for one n, and `verify_counts(n, ctx,
+alg)` runs ``COUNTED[alg]`` at n and compares its tallies with them, and its
+visits with p(n).
 
 The relative cost of gen_v3 versus gen_v2 is summarized by two exact
 rationals,
@@ -19,9 +20,15 @@ rationals,
 
 computed from exact integer counts (no floating arithmetic on the counts
 themselves).  `r1_exact`/`r2_exact` return them as `Fraction`s, and `bench`
-renders those to 5 decimals with round-half-to-even.  `ratio_table` keeps
-each as a float, and `write_ratio_csv` rounds the float's repr half to even
-instead; for every 2 <= n <= 5000 both ratios render the same either way.
+renders those to 5 decimals with round-half-to-even.  `ratio_table` reads
+p, d and r for its whole range from `CountContext.closed_forms` and compares
+exactly on the integer counts, without `Fraction`s: a ratio lies in (0, 1)
+when 0 < numerator < denominator, and each argmin is found by integer
+cross-multiplication (the denominators are positive; ties keep the first n).
+It keeps each ratio as the float numerator / denominator, which int division
+rounds correctly, so it equals float() of the `Fraction`.  `write_ratio_csv`
+rounds that float's repr half to even; for every 2 <= n <= 5000 both ratios
+render as the exact ones do.
 """
 
 from __future__ import annotations
@@ -35,11 +42,15 @@ from .errors import require_at_least, require_one_of
 from .generate import COUNTED
 
 
-def _predicted(n, ctx):
-    """The paper's (assignments, bool_evals) at n, keyed like `generate.COUNTED`."""
-    require_at_least(n, 2)
-    p, d, r = ctx.partition_count(n), ctx.p2_closed(n), ctx.p3_closed(n)
+def _formulas(p, d, r):
+    """The paper's (assignments, bool_evals) from p(n), d(n), r(n), keyed like `COUNTED`."""
     return {2: (4 * p + 4 * d, p + 3 * d), 3: (4 * p + 5 * r, p + 4 * r)}
+
+
+def _predicted(n, ctx):
+    """`_formulas` at one n."""
+    require_at_least(n, 2)
+    return _formulas(ctx.partition_count(n), ctx.p2_closed(n), ctx.p3_closed(n))
 
 
 def _ratios(n, ctx):
@@ -57,6 +68,9 @@ def r2_exact(n: int, ctx: CountContext) -> Fraction:
     return _ratios(n, ctx)[1]
 
 
+_FIVE_DECIMALS = Decimal("0.00001")
+
+
 def format_ratio(value) -> str:
     """Render a ratio with exactly 5 decimals, ties to even."""
     if isinstance(value, Fraction):
@@ -65,7 +79,7 @@ def format_ratio(value) -> str:
             dec = Decimal(value.numerator) / Decimal(value.denominator)
     else:
         dec = Decimal(repr(float(value)))
-    return str(dec.quantize(Decimal("0.00001"), rounding=ROUND_HALF_EVEN))
+    return str(dec.quantize(_FIVE_DECIMALS, rounding=ROUND_HALF_EVEN))
 
 
 @dataclass(frozen=True)
@@ -126,20 +140,22 @@ class RatioScan:
 def ratio_table(n_max: int, ctx: CountContext) -> RatioScan:
     """Ratio records for 2 <= n <= n_max plus the argmin of each column."""
     require_at_least(n_max, 2, "n_max")
-    ctx.partition_count(n_max)  # one fill of the p column, not one per doubling
     records = []
     violations = []
-    best1 = best2 = None
+    # each best is (numerator, denominator); 1 / 0 stands for +infinity
+    best1 = best2 = (1, 0)
     argmin1 = argmin2 = 2
+    p, d, r = ctx.closed_forms(n_max)
     for n in range(2, n_max + 1):
-        f1, f2 = _ratios(n, ctx)
-        if not (0 < f1 < 1 and 0 < f2 < 1):
+        counts = _formulas(p[n], d[n], r[n])
+        (a2, b2), (a3, b3) = counts[2], counts[3]
+        if not (0 < a3 < a2 and 0 < b3 < b2):
             violations.append(n)
-        if best1 is None or f1 < best1:
-            best1, argmin1 = f1, n
-        if best2 is None or f2 < best2:
-            best2, argmin2 = f2, n
-        records.append(RatioRecord(n=n, r1=float(f1), r2=float(f2)))
+        if a3 * best1[1] < best1[0] * a2:
+            best1, argmin1 = (a3, a2), n
+        if b3 * best2[1] < best2[0] * b2:
+            best2, argmin2 = (b3, b2), n
+        records.append(RatioRecord(n=n, r1=a3 / a2, r2=b3 / b2))
     return RatioScan(records=records, argmin_r1=argmin1, argmin_r2=argmin2,
                      range_violations=violations)
 
@@ -150,8 +166,8 @@ def budget_violations(ctx: CountContext, n_max: int) -> list[int]:
     The inequality is what makes gen_v3 cheaper than gen_v2 on both counters;
     it holds everywhere except n = 2 (both counts are 1 there, and 4 > 3).
     """
-    return [n for n in range(2, n_max + 1)
-            if 4 * ctx.p3_closed(n) > 3 * ctx.p2_closed(n)]
+    _, d, r = ctx.closed_forms(max(n_max, 0))
+    return [n for n in range(2, n_max + 1) if 4 * r[n] > 3 * d[n]]
 
 
 def write_ratio_csv(scan: RatioScan, fileobj) -> None:

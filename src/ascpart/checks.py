@@ -9,6 +9,7 @@ counterexamples in ``detail``.  `battery` runs the six at the ranges of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from operator import length_hint
 
 from .analysis import verify_counts
@@ -90,10 +91,13 @@ def cross_paths(ctx, n_max):
     it holds count(t, n, m) at every n <= n_max, and dropped before the next.
     ``ratio_restricted_count`` may answer by the product form, and serves the
     rest from the context's cached columns, so neither can give the reference.
+    The range form ``closed_forms(n_max)`` is compared with the (1, 1), (2, 1)
+    and (3, 1) columns at every n, beside the per-n entry points.
     """
     entry_points = {1: (ctx.partition_count, "pentagonal p({n}) vs p({n}, 1)"),
                     2: (ctx.p2_closed, "closed form t=2 at n={n}"),
                     3: (ctx.p3_closed, "closed form t=3 at n={n}")}
+    series = dict(zip(entry_points, ctx.closed_forms(n_max)))
     paths = [("served count", ctx.ratio_restricted_count), ("product path", ctx._product_count),
              ("sum path", ctx.ratio_count_via_sum),
              ("reduction path", ctx.ratio_count_via_reduction)]
@@ -101,6 +105,10 @@ def cross_paths(ctx, n_max):
     for t in (1, 2, 3, 4):
         for m in range(1, max(n_max // (t + 1), 1) + 1):
             col = _fill_column(t, m, n_max)
+            if m == 1 and t in series:
+                bad += [f"closed-form series t={t} at n={n}"
+                        for n, (got, want) in enumerate(zip_longest(series[t], col))
+                        if got != want]
             for n in range(1, n_max + 1):
                 if m == 1 and t in entry_points and entry_points[t][0](n) != col[n]:
                     bad.append(entry_points[t][1].format(n=n))

@@ -29,7 +29,10 @@ Everything else is a special case of that count or another route to it:
   that is sum_j c_j p(n - j) over the coefficients c of a finite product;
 * closed forms per n, the product form's m = 1 cases: double-ratio =
   p(n) - p(n-2) and triple-ratio = p(n) - p(n-2) - p(n-3) + p(n-5), with
-  p(k) = 0 for k < 0; they hold for every n >= 1.
+  p(k) = 0 for k < 0; they hold for every n >= 1;
+* the same closed forms for a whole range: ``closed_forms(n)`` applies the
+  two factors to the p column itself, d(k) = p(k) - p(k-2) and then
+  r(k) = d(k) - d(k-3), one list subtraction each.
 
 The recurrence is filled bottom-up (no recursion), one column per ``(t, m)``:
 the column holds count(t, k, m) for 0 <= k <= L and costs O(L) ints.  It is
@@ -40,7 +43,8 @@ p(k) = sum of +-p(k - g) over the generalized pentagonal numbers g <= k, in
 about 1.1 L^1.5 additions; it is cached as the (1, 1) column.
 The product form reads that column: its coefficients are cut at degree
 D = min(n, sum of the factor degrees), so it costs at most about n * (m + t)
-big-int subtractions, O(t^2) at m = 1, and caches nothing.
+big-int subtractions, O(t^2) at m = 1, and caches nothing; its range form
+costs 2 n subtractions and caches nothing either.
 
 ``ratio_restricted_count`` answers by the product when
 3 n (m + t) < 2 (t + 1) (q - m)^2, and by the (t, m) column otherwise: the
@@ -123,7 +127,7 @@ class CountContext:
 
     The (1, 1) column, p(k), is filled by Euler's recurrence; it serves
     ``partition_count`` and count(1, k, 1).  The product form reads it too:
-    the closed forms and the inequality scan always, ``ratio_restricted_count``
+    the closed forms and their range form always, ``ratio_restricted_count``
     and ``restricted_count`` whenever its cost rule (see the module docstring)
     ranks it below a column fill.  The product builds its coefficient list
     afresh per call, O(t^2) entries at m = 1, and caches nothing, so the
@@ -212,10 +216,6 @@ class CountContext:
         require_within(n, DEFAULT_CAP, "count")
         return self._column((1, 1), n)[n]
 
-    def _p(self, n):
-        # closed forms read below index 0; treat those terms as absent
-        return self.partition_count(n) if n >= 0 else 0
-
     def ratio_count_via_sum(self, n: int, m: int, t: int) -> int:
         """Same value as ratio_restricted_count, through the sum identity.
 
@@ -273,6 +273,25 @@ class CountContext:
         """
         return self._closed(n, 3)
 
+    def closed_forms(self, n: int) -> tuple[list[int], list[int], list[int]]:
+        """(p, d, r), each a new list over 0..n: p(k), p2_closed(k) and p3_closed(k).
+
+        The product form's factors applied to the whole p column: d(k) = p(k) -
+        p(k-2) and r(k) = d(k) - d(k-3), where terms below index 0 are 0, so
+        that d(0) = p(0) and r(0) = d(0).  The lists are copies; the cached
+        column is never handed out.
+        """
+        require_at_least(n, 0)
+        require_within(n, DEFAULT_CAP, "count")
+        p = self._column((1, 1), n)[:n + 1]
+        d = p[:2] + list(map(sub, p[2:], p))
+        r = d[:3] + list(map(sub, d[3:], d))
+        for t, values in ((2, d), (3, r)):
+            if min(values) < 0:
+                k = next(k for k, value in enumerate(values) if value < 0)
+                raise ArithmeticError(f"p{t}_closed went negative at n={k}")
+        return p, d, r
+
     def check_inequalities(self, n_max: int) -> "InequalityReport":
         """Scan 1..n_max for violations of the two partition inequalities.
 
@@ -281,18 +300,18 @@ class CountContext:
         Both are expected to hold everywhere.
         """
         require_within(n_max, DEFAULT_CAP, "count", "n_max")
-        self._p(n_max)  # one fill of the p column, not one per doubling
+        p, d, r = self.closed_forms(max(n_max, 0))
+        below = [0] * 5 + p  # below[k + 5] = p(k), and 0 for -5 <= k < 0
         growth_violations = []
         growth_equalities = []
         dominance_violations = []
         for n in range(1, n_max + 1):
-            bound = self._p(n - 1) + self._p(n - 2) - self._p(n - 5)
-            pn = self._p(n)
-            if pn > bound:
+            bound = below[n + 4] + below[n + 3] - below[n]
+            if p[n] > bound:
                 growth_violations.append(n)
-            elif pn == bound:
+            elif p[n] == bound:
                 growth_equalities.append(n)
-            if n >= 2 and self.p3_closed(n) > self.p2_closed(n - 1):
+            if n >= 2 and r[n] > d[n - 1]:
                 dominance_violations.append(n)
         return InequalityReport(
             n_max=n_max,

@@ -98,6 +98,20 @@ def test_ratio_table_scan(ctx):
     assert by_n[20].r1 == pytest.approx(float(Fraction(3113, 3476)))
 
 
+def test_ratio_table_is_exact(ctx):
+    # ratio_table compares integer counts; here every value is checked against
+    # the Fractions, and the argmins and the range test are redone with them
+    scan = ratio_table(DEFAULT_CAP, ctx)
+    exact = {n: (r1_exact(n, ctx), r2_exact(n, ctx)) for n in range(2, DEFAULT_CAP + 1)}
+    assert [(rec.n, rec.r1, rec.r2) for rec in scan.records] == [
+        (n, float(f1), float(f2)) for n, (f1, f2) in exact.items()]
+    # min keeps the first n on ties, as the scan does
+    assert scan.argmin_r1 == min(exact, key=lambda n: exact[n][0])
+    assert scan.argmin_r2 == min(exact, key=lambda n: exact[n][1])
+    assert scan.range_violations == [n for n, ratios in exact.items()
+                                     if not all(0 < f < 1 for f in ratios)]
+
+
 def test_budget_violations(ctx):
     # 4 * triple-ratio <= 3 * double-ratio fails exactly at n = 2
     assert budget_violations(ctx, 300) == [2]

@@ -33,6 +33,14 @@ def _pentagonal_entry(k):
     return defect
 
 
+def _series_entry(t, k):
+    """A defect in the range path, ``closed_forms``: entry k of the t series off by one."""
+    def change(forms):
+        forms[t - 1][k] += 1  # the lists are the caller's own copies
+        return forms
+    return _result(change)
+
+
 @pytest.mark.parametrize("check, n_max, target, name, defect, names", [
     (checks.worked_examples, None, None, "ratio_count", _result(lambda v: v + 1),
      "double-ratio(5)"),
@@ -42,6 +50,8 @@ def _pentagonal_entry(k):
     (checks.generation, 8, checks, "ALGORITHMS", _stream(lambda s: s + s[-1:]), "alg 2"),
     (checks.generation, 8, checks, "ALGORITHMS", _stream(lambda s: s, extra=1), "alg 2"),
     (checks.cross_paths, 8, None, "p2_closed", _result(lambda v: v + 1), "closed form t=2"),
+    (checks.cross_paths, 8, None, "closed_forms", _series_entry(3, 7),
+     "closed-form series t=3 at n=7"),
     (checks.cross_paths, 8, None, "_columns", _pentagonal_entry(5), "pentagonal p(5) vs p(5, 1)"),
     # above the crossover, where ratio_restricted_count answers by the product
     (checks.cross_paths, 45, None, "_columns", _pentagonal_entry(40),
@@ -57,9 +67,9 @@ def _pentagonal_entry(k):
      "binary tree"),
     (checks.inequalities, 100, None, "check_inequalities",
      _result(lambda r: replace(r, dominance_violations=[7])), "[7]"),
-], ids=["worked", "missing", "swapped", "extra", "miscounted", "closed-form", "pentagonal",
-        "pentagonal-above-crossover", "product", "op-counts", "op-counts-visits", "tree",
-        "inequality"])
+], ids=["worked", "missing", "swapped", "extra", "miscounted", "closed-form",
+        "closed-form-series", "pentagonal", "pentagonal-above-crossover", "product", "op-counts",
+        "op-counts-visits", "tree", "inequality"])
 def test_check_fails_on_defect(monkeypatch, check, n_max, target, name, defect, names):
     ctx = CountContext()
     assert check(ctx, n_max).ok

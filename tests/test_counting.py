@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, rule
 
-from ascpart import DEFAULT_CAP, CapacityError, CountContext
+from ascpart import (
+    DEFAULT_CAP,
+    CapacityError,
+    CountContext,
+    InequalityReport,
+    budget_violations,
+    counting,
+)
 from ascpart.counting import _fill_column, _fill_partition_numbers
 from ascpart.oracle import brute_compositions, brute_ratio_count, has_ratio_property
 
@@ -126,17 +133,62 @@ def test_closed_forms(ctx):
     assert ctx.p3_closed(1) == 1
 
 
-@pytest.mark.parametrize("method, args, message", [
-    ("p2_closed", (20,), "p2_closed went negative at n=20"),
-    ("p3_closed", (20,), "p3_closed went negative at n=20"),
-    ("ratio_count_via_reduction", (20, 1, 2), "reduction went negative at (t=2, n=20, m=1)"),
-], ids=["p2_closed", "p3_closed", "reduction"])
-def test_negative_count_raises(monkeypatch, method, args, message):
+def test_closed_forms_range_matches_the_per_n_counts(ctx):
+    p, d, r = ctx.closed_forms(DEFAULT_CAP)
+    assert p == [ctx.partition_count(n) for n in range(DEFAULT_CAP + 1)]
+    assert d == [1] + [ctx.p2_closed(n) for n in range(1, DEFAULT_CAP + 1)]
+    assert r == [1] + [ctx.p3_closed(n) for n in range(1, DEFAULT_CAP + 1)]
+    assert ctx.closed_forms(0) == ([1], [1], [1])
+    assert ctx.closed_forms(6) == (P_SMALL[:7], [1, 1, 1, 2, 3, 4, 6], [1, 1, 1, 1, 2, 3, 4])
+
+
+def test_closed_forms_range_returns_copies():
+    ctx = CountContext()
+    for values in ctx.closed_forms(30):
+        values[5] = -1
+    assert ctx.partition_count(5) == 7
+    assert ctx.closed_forms(30) == tuple(_fill_column(t, 1, 30) for t in (1, 2, 3))
+
+
+def _constant_p(length):
+    # p(k) = 1 for every k: d = 1, 1, 0, 0, ... and r(3) = d(3) - d(0) = -1
+    return [1] * (length + 1)
+
+
+def _falling_p(length):
+    # p(k) = length - k: d(2) = p(2) - p(0) = -2
+    return list(range(length, -1, -1))
+
+
+@pytest.mark.parametrize("target, name, patch, method, args, message", [
+    (CountContext, "_product_count", lambda self, n, m, t: -n, "p2_closed", (20,),
+     "p2_closed went negative at n=20"),
+    (CountContext, "_product_count", lambda self, n, m, t: -n, "p3_closed", (20,),
+     "p3_closed went negative at n=20"),
+    (CountContext, "_product_count", lambda self, n, m, t: -n, "ratio_count_via_reduction",
+     (20, 1, 2), "reduction went negative at (t=2, n=20, m=1)"),
+    (counting, "_fill_partition_numbers", _falling_p, "closed_forms", (20,),
+     "p2_closed went negative at n=2"),
+    (counting, "_fill_partition_numbers", _constant_p, "closed_forms", (20,),
+     "p3_closed went negative at n=3"),
+], ids=["p2_closed", "p3_closed", "reduction", "range-t2", "range-t3"])
+def test_negative_count_raises(monkeypatch, target, name, patch, method, args, message):
     # -n makes p(20, 1) - p(18, 1) = -2 on the reduction path; under python -O
     # a bare assert would let these values through
-    monkeypatch.setattr(CountContext, "_product_count", lambda self, n, m, t: -n)
+    monkeypatch.setattr(target, name, patch)
     with pytest.raises(ArithmeticError, match=re.escape(message)):
         getattr(CountContext(), method)(*args)
+
+
+def test_range_callers_keep_their_inputs(ctx):
+    # check_inequalities and budget_violations read closed_forms, but still
+    # take every n_max they took when they asked for one n at a time
+    for n_max in (-3, 0):
+        assert ctx.check_inequalities(n_max) == InequalityReport(n_max=n_max)
+    assert ctx.check_inequalities(1) == InequalityReport(n_max=1, growth_equalities=[1])
+    for n_max in (-2, 0, 1):
+        assert budget_violations(ctx, n_max) == []
+    assert budget_violations(ctx, 2) == [2]
 
 
 def test_public_counts_match_the_recurrence_columns(ctx):

@@ -21,7 +21,7 @@ from ascpart import (
     gen_v3,
     gen_v3_counted,
 )
-from ascpart.analysis import r1_exact, r2_exact, ratio_table, verify_counts
+from ascpart.analysis import budget_violations, r1_exact, r2_exact, ratio_table, verify_counts
 from ascpart.bench import bench_table, time_algorithm
 from ascpart.checks import battery
 from ascpart.oracle import brute_compositions, brute_ratio_count
@@ -147,6 +147,9 @@ GUARDS = [
      "n=5001 exceeds the count cap 5000"),
     ("check_inequalities-cap", _ctx("check_inequalities", 5001), CapacityError,
      "n_max=5001 exceeds the count cap 5000"),
+    ("closed_forms-n", _ctx("closed_forms", -1), DomainError, "n must be >= 0, got -1"),
+    ("closed_forms-cap", _ctx("closed_forms", 5001), CapacityError,
+     "n=5001 exceeds the count cap 5000"),
     # analysis and bench
     ("r1_exact", lambda: r1_exact(1, CountContext()), DomainError, "n must be >= 2, got 1"),
     ("r2_exact", lambda: r2_exact(0, CountContext()), DomainError, "n must be >= 2, got 0"),
@@ -157,6 +160,8 @@ GUARDS = [
     ("ratio_table-n_max", lambda: ratio_table(1, CountContext()), DomainError,
      "n_max must be >= 2, got 1"),
     ("ratio_table-cap", lambda: ratio_table(5001, CountContext()), CapacityError,
+     "n=5001 exceeds the count cap 5000"),
+    ("budget_violations-cap", lambda: budget_violations(CountContext(), 5001), CapacityError,
      "n=5001 exceeds the count cap 5000"),
     ("time_algorithm-reps", lambda: time_algorithm(10, 2, 0), DomainError,
      "reps must be >= 1, got 0"),
