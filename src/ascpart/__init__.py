@@ -16,8 +16,8 @@ __version__ = "0.1.0"
 # submodule -> the public names it defines
 _EXPORTS = {
     "analysis": ("CountCheck", "RatioRecord", "RatioScan", "budget_violations",
-                 "format_ratio", "r1_exact", "r2_exact", "ratio_table", "verify_counts",
-                 "verify_v2_counts", "verify_v3_counts", "write_ratio_csv"),
+                 "format_ratio", "r1_exact", "r2_exact", "ratio_csv", "ratio_table",
+                 "verify_counts", "verify_v2_counts", "verify_v3_counts"),
     "bench": ("BenchRecord", "BenchRow", "bench_table", "time_algorithm", "write_bench_csv"),
     "counters": ("OpCounters",),
     "counting": ("DEFAULT_CAP", "CountContext", "InequalityReport"),

@@ -19,23 +19,21 @@ rationals,
     r2(n) = (p(n) + 4 r(n)) / (p(n) + 3 d(n))       -- boolean evals
 
 computed from exact integer counts (no floating arithmetic on the counts
-themselves).  `r1_exact`/`r2_exact` return them as `Fraction`s, and `bench`
-renders those to 5 decimals with round-half-to-even.  `ratio_table` reads
-p, d and r for its whole range from `CountContext.closed_forms` and compares
-exactly on the integer counts, without `Fraction`s: a ratio lies in (0, 1)
-when 0 < numerator < denominator, and each argmin is found by integer
-cross-multiplication (the denominators are positive; ties keep the first n).
-It keeps each ratio as the float numerator / denominator, which int division
-rounds correctly, so it equals float() of the `Fraction`.  `write_ratio_csv`
-rounds that float's repr half to even; for every 2 <= n <= 5000 both ratios
-render as the exact ones do.
+themselves).  `r1_exact`/`r2_exact` return them as `Fraction`s.
+`format_ratio(a, b)` rounds a / b to 5 decimals, half to even, by integer
+division, so every printed ratio is exact by construction.  `ratio_csv` and
+`ratio_table` read p, d and r for their whole range from
+`CountContext.closed_forms`.  `ratio_table` compares on the integer counts: a
+ratio lies in (0, 1) when 0 < numerator < denominator, and each argmin is
+found by integer cross-multiplication (ties keep the first n).  Its floats
+are numerator / denominator, which int division rounds correctly, so each
+equals float() of the `Fraction`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
-from fractions import Fraction
+from itertools import chain
 
 from .counting import CountContext
 from .errors import require_at_least, require_one_of
@@ -54,8 +52,18 @@ def _predicted(n, ctx):
 
 
 def _ratios(n, ctx):
+    """(r1, r2) at n as `Fraction`s; imported here, so `ratios` and `verify` never load it."""
+    from fractions import Fraction
+
     counts = _predicted(n, ctx)
     return tuple(map(Fraction, counts[3], counts[2]))
+
+
+def _counts(n_max, ctx):
+    """Check n_max, then iterate (n, gen_v2 counts, gen_v3 counts) for 2 <= n <= n_max."""
+    require_at_least(n_max, 2, "n_max")
+    p, d, r = ctx.closed_forms(n_max)
+    return ((n, f[2], f[3]) for n, f in enumerate(map(_formulas, p[2:], d[2:], r[2:]), 2))
 
 
 def r1_exact(n: int, ctx: CountContext) -> Fraction:
@@ -68,18 +76,12 @@ def r2_exact(n: int, ctx: CountContext) -> Fraction:
     return _ratios(n, ctx)[1]
 
 
-_FIVE_DECIMALS = Decimal("0.00001")
-
-
-def format_ratio(value) -> str:
-    """Render a ratio with exactly 5 decimals, ties to even."""
-    if isinstance(value, Fraction):
-        with localcontext() as lc:
-            lc.prec = 50
-            dec = Decimal(value.numerator) / Decimal(value.denominator)
-    else:
-        dec = Decimal(repr(float(value)))
-    return str(dec.quantize(_FIVE_DECIMALS, rounding=ROUND_HALF_EVEN))
+def format_ratio(numerator: int, denominator: int) -> str:
+    """numerator / denominator (>= 0 and > 0) with exactly 5 decimals, ties to even."""
+    q, rem = divmod(numerator * 100000, denominator)
+    if 2 * rem > denominator or (2 * rem == denominator and q % 2):
+        q += 1
+    return f"{q // 100000}.{q % 100000:05d}"
 
 
 @dataclass(frozen=True)
@@ -139,16 +141,12 @@ class RatioScan:
 
 def ratio_table(n_max: int, ctx: CountContext) -> RatioScan:
     """Ratio records for 2 <= n <= n_max plus the argmin of each column."""
-    require_at_least(n_max, 2, "n_max")
     records = []
     violations = []
     # each best is (numerator, denominator); 1 / 0 stands for +infinity
     best1 = best2 = (1, 0)
     argmin1 = argmin2 = 2
-    p, d, r = ctx.closed_forms(n_max)
-    for n in range(2, n_max + 1):
-        counts = _formulas(p[n], d[n], r[n])
-        (a2, b2), (a3, b3) = counts[2], counts[3]
+    for n, (a2, b2), (a3, b3) in _counts(n_max, ctx):
         if not (0 < a3 < a2 and 0 < b3 < b2):
             violations.append(n)
         if a3 * best1[1] < best1[0] * a2:
@@ -170,8 +168,8 @@ def budget_violations(ctx: CountContext, n_max: int) -> list[int]:
     return [n for n in range(2, n_max + 1) if 4 * r[n] > 3 * d[n]]
 
 
-def write_ratio_csv(scan: RatioScan, fileobj) -> None:
-    """CSV with header n,r1,r2; ratios printed to 5 decimals."""
-    fileobj.write("n,r1,r2\n")
-    for rec in scan.records:
-        fileobj.write(f"{rec.n},{format_ratio(rec.r1)},{format_ratio(rec.r2)}\n")
+def ratio_csv(n_max: int, ctx: CountContext):
+    """The lines of the CSV n,r1,r2, made as they are read; n_max is checked at the call."""
+    rows = _counts(n_max, ctx)
+    return chain(["n,r1,r2\n"], (f"{n},{format_ratio(a3, a2)},{format_ratio(b3, b2)}\n"
+                                 for n, (a2, b2), (a3, b3) in rows))

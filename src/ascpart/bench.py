@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import islice
 from statistics import mean
 
-from .analysis import format_ratio, r1_exact, r2_exact
+from .analysis import _ratios, format_ratio
 from .counting import CountContext
 from .errors import require_at_least, require_one_of, require_within
 from .generate import ALGORITHMS, VISIT_CAP
@@ -110,7 +110,7 @@ def bench_table(ns, reps: int, ctx: CountContext | None = None) -> list[BenchRow
     require_at_least(reps, 1, "reps")
     if ctx is None:
         ctx = CountContext()
-    exact = [(n, r1_exact(n, ctx), r2_exact(n, ctx)) for n in ns]
+    exact = [(n, *_ratios(n, ctx)) for n in ns]
     visits = sum(ctx.partition_count(n) for n, _, _ in exact) * 2 * (len(ALGORITHMS) - 1 + reps)
     require_within(visits, VISIT_CAP, "visit", "visits")
     rows = []
@@ -128,6 +128,6 @@ def write_bench_csv(rows, fileobj) -> None:
     """CSV with header n,t1_ns,t2_ns,r,r1,r2; times in integer nanoseconds."""
     fileobj.write("n,t1_ns,t2_ns,r,r1,r2\n")
     for row in rows:
+        pairs = (row.t1_ns, row.t2_ns), row.r1.as_integer_ratio(), row.r2.as_integer_ratio()
         fileobj.write(f"{row.n},{row.t1_ns},{row.t2_ns},"
-                      f"{format_ratio(row.r)},{format_ratio(row.r1)},"
-                      f"{format_ratio(row.r2)}\n")
+                      + ",".join(format_ratio(*pair) for pair in pairs) + "\n")

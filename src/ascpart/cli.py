@@ -68,12 +68,12 @@ def _cmd_tree(args):
 
 
 def _cmd_ratios(args):
-    from .analysis import ratio_table, write_ratio_csv
+    from .analysis import ratio_csv
     from .counting import CountContext
 
-    scan = ratio_table(args.max_n, CountContext())
+    lines = ratio_csv(args.max_n, CountContext())
     with _open_out(args.out) as fh:
-        write_ratio_csv(scan, fh)
+        fh.writelines(lines)
     return 0
 
 

@@ -1,6 +1,5 @@
 """Cost ratios, their formatting, and instrumented-count verification."""
 
-import io
 from fractions import Fraction
 
 import pytest
@@ -13,11 +12,11 @@ from ascpart import (
     format_ratio,
     r1_exact,
     r2_exact,
+    ratio_csv,
     ratio_table,
     verify_counts,
     verify_v2_counts,
     verify_v3_counts,
-    write_ratio_csv,
 )
 from ascpart.analysis import _predicted
 
@@ -58,13 +57,21 @@ def test_reference_table(ctx):
 
 
 def test_format_ratio():
-    assert format_ratio(Fraction(1, 3)) == "0.33333"
-    assert format_ratio(Fraction(2, 3)) == "0.66667"
-    assert format_ratio(Fraction(1, 1)) == "1.00000"
-    assert format_ratio(0.5) == "0.50000"
-    # ties go to even in the fifth decimal
-    assert format_ratio(Fraction(1, 200000)) == "0.00000"
-    assert format_ratio(Fraction(3, 200000)) == "0.00002"
+    assert format_ratio(1, 3) == "0.33333"
+    assert format_ratio(2, 3) == "0.66667"
+    assert format_ratio(1, 1) == "1.00000"
+    assert format_ratio(1, 2) == "0.50000"
+    assert format_ratio(13, 12) == "1.08333"
+    # exact at any size: to 50 significant digits the second reads as the tie
+    big = 200000 * 10**300
+    assert format_ratio(10**300 + 1, 3 * 10**300) == "0.33333"
+    assert format_ratio(24689 * 10**300 + 1, big) == "0.12345"
+    # ties go to even in the fifth decimal, down and up
+    assert format_ratio(1, 200000) == "0.00000"
+    assert format_ratio(3, 200000) == "0.00002"
+    assert format_ratio(24691, 200000) == "0.12346"
+    assert format_ratio(24689, 200000) == "0.12344"
+    assert format_ratio(24691 * 10**300, big) == "0.12346"
 
 
 def test_verify_counts(ctx):
@@ -118,27 +125,23 @@ def test_budget_violations(ctx):
 
 
 def test_write_ratio_csv(ctx):
-    buf = io.StringIO()
-    write_ratio_csv(ratio_table(6, ctx), buf)
-    lines = buf.getvalue().splitlines()
+    lines = "".join(ratio_csv(6, ctx)).splitlines()
     assert lines[0] == "n,r1,r2"
     assert len(lines) == 6
     assert lines[1] == "2,1.08333,1.20000"
     n, one, two = lines[-1].split(",")
     assert n == "6"
-    assert one == format_ratio(r1_exact(6, ctx))
-    assert two == format_ratio(r2_exact(6, ctx))
+    assert one == format_ratio(*r1_exact(6, ctx).as_integer_ratio())
+    assert two == format_ratio(*r2_exact(6, ctx).as_integer_ratio())
 
 
 def test_ratio_csv_rounds_as_the_exact_ratios(ctx):
-    # the CSV rounds each float ratio's repr, not the exact Fraction; up to the
-    # cap both round alike, here rendered the way perfbench/reference.py does
+    # format_ratio rounds the integer counts; the reference rounds each exact
+    # Fraction the way perfbench/reference.py does, up to the cap
     def five_decimals(value):
         scaled = round(value * 100000)  # Fraction rounds half to even
         return f"{scaled // 100000}.{scaled % 100000:05d}"
 
-    buf = io.StringIO()
-    write_ratio_csv(ratio_table(DEFAULT_CAP, ctx), buf)
-    assert buf.getvalue().splitlines() == ["n,r1,r2"] + [
+    assert "".join(ratio_csv(DEFAULT_CAP, ctx)).splitlines() == ["n,r1,r2"] + [
         f"{n},{five_decimals(r1_exact(n, ctx))},{five_decimals(r2_exact(n, ctx))}"
         for n in range(2, DEFAULT_CAP + 1)]

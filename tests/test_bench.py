@@ -1,6 +1,7 @@
 """Benchmark harness: record shape, checksum agreement, CSV format."""
 
 import io
+from fractions import Fraction
 from statistics import mean
 
 import pytest
@@ -63,17 +64,21 @@ def test_bench_table(ctx):
 
 def test_bench_csv_format(ctx):
     buf = io.StringIO()
-    write_bench_csv(bench_table([10], reps=2, ctx=ctx), buf)
+    rows = bench_table([10, 12], reps=2, ctx=ctx)
+    write_bench_csv(rows, buf)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "n,t1_ns,t2_ns,r,r1,r2"
-    assert len(lines) == 2
-    fields = lines[1].split(",")
-    assert fields[0] == "10"
-    int(fields[1]), int(fields[2])  # durations are integer nanoseconds
-    for ratio in fields[3:]:
-        whole, _, frac = ratio.partition(".")
-        assert len(frac) == 5
-        float(ratio)
+    assert len(lines) == 3
+    for row, line in zip(rows, lines[1:]):
+        fields = line.split(",")
+        assert fields[:3] == [str(row.n), str(row.t1_ns), str(row.t2_ns)]
+        for ratio in fields[3:]:
+            whole, _, frac = ratio.partition(".")
+            assert len(frac) == 5
+            float(ratio)
+        # r is the recorded times' exact ratio, rounded half to even
+        scaled = round(Fraction(row.t1_ns, row.t2_ns) * 100000)
+        assert fields[3] == f"{scaled // 100000}.{scaled % 100000:05d}"
 
 
 def test_empty_table_is_header_only():

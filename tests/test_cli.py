@@ -306,22 +306,27 @@ def test_usage_errors_exit_two(argv, tmp_path):
     (("bench", "--n", "5,1"), "n must be >= 2, got 1"),
     (("bench", "--n", "-1"), "n must be >= 2, got -1"),
     (("ratios", "--max-n", "1"), "n_max must be >= 2, got 1"),
+    # checked before --out creates the file
+    (("ratios", "--max-n", "1", "--out", "{out}"), "n_max must be >= 2, got 1"),
+    (("ratios", "--max-n", "5001", "--out", "{out}"), "n=5001 exceeds the count cap 5000"),
     (("verify", "--max-n", "1"), "max_n must be >= 2, got 1"),
     (("count", "5", "--ratio-t", "0"), "ratio factor must be >= 1, got 0"),
     (("generate", "5", "--limit", "-1"), "limit must be >= 0, got -1"),
     # the visit guard fires before p(n) reaches the count cap
     (("verify", "--max-n", "90000"), "visits=1059569812 exceeds the visit cap 1000000000"),
-], ids=["bench-n", "bench-n-negative", "ratios-max-n", "verify-max-n", "count-ratio-t",
-        "generate-limit", "verify-visits"])
-def test_bounds_are_the_library_guards(argv, message, capsys):
+], ids=["bench-n", "bench-n-negative", "ratios-max-n", "ratios-max-n-out", "ratios-cap-out",
+        "verify-max-n", "count-ratio-t", "generate-limit", "verify-visits"])
+def test_bounds_are_the_library_guards(argv, message, capsys, tmp_path):
     # argparse only parses: each bound is the library's, printed in one shape
+    out = tmp_path / "out"
     with pytest.raises(SystemExit) as err:
-        main(list(argv))
+        main([arg.format(out=out) for arg in argv])
     captured = capsys.readouterr()
     assert err.value.code == 2
     assert captured.err.splitlines()[0].startswith("usage: ascpart [-h]")
     assert captured.err.splitlines()[-1] == f"ascpart: error: {message}"
     assert captured.out == ""  # bench never reached its CSV header
+    assert not out.exists()
 
 
 def test_generate_limit_zero_prints_nothing(capsys):

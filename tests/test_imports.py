@@ -51,6 +51,15 @@ def test_count_loads_no_other_command():
     assert not loaded & {"fractions", "statistics"}
 
 
+@pytest.mark.parametrize("argv", [["ratios", "--max-n", "5"], ["verify", "--max-n", "4"]],
+                         ids=["ratios", "verify"])
+def test_exact_counts_load_no_fractions(argv):
+    # format_ratio works on integer pairs; only r1_exact/r2_exact load Fraction
+    loaded = modules_loaded_by(f"from ascpart.cli import main\nmain({argv!r})")
+    assert "ascpart.analysis" in loaded
+    assert not loaded & {"fractions", "decimal", "numbers"}
+
+
 def test_public_names_are_their_submodules():
     for name in ascpart.__all__:
         module = importlib.import_module(f"ascpart.{ascpart._SUBMODULE[name]}")
