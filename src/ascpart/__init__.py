@@ -15,12 +15,11 @@ __version__ = "0.1.0"
 
 # submodule -> the public names it defines
 _EXPORTS = {
-    "analysis": ("CountCheck", "RatioRecord", "RatioScan", "budget_violations",
-                 "format_ratio", "r1_exact", "r2_exact", "ratio_csv", "ratio_table",
-                 "verify_counts", "verify_v2_counts", "verify_v3_counts"),
+    "analysis": ("budget_violations", "format_ratio", "r1_exact", "r2_exact", "ratio_csv",
+                 "ratio_table", "verify_counts", "verify_v2_counts", "verify_v3_counts"),
     "bench": ("BenchRecord", "BenchRow", "bench_table", "time_algorithm", "write_bench_csv"),
-    "counters": ("OpCounters",),
-    "counting": ("DEFAULT_CAP", "CountContext", "InequalityReport"),
+    "counters": ("CountCheck", "InequalityReport", "OpCounters", "RatioRecord", "RatioScan"),
+    "counting": ("DEFAULT_CAP", "CountContext"),
     "errors": ("AscpartError", "CapacityError", "DomainError"),
     "generate": ("ALGORITHMS", "COLLECT_CAP", "COUNTED", "VISIT_CAP", "collect_compositions",
                  "gen_v1", "gen_v2", "gen_v2_counted", "gen_v3", "gen_v3_counted"),

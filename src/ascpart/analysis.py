@@ -28,16 +28,19 @@ ratio lies in (0, 1) when 0 < numerator < denominator, and each argmin is
 found by integer cross-multiplication (ties keep the first n).  Its floats
 are numerator / denominator, which int division rounds correctly, so each
 equals float() of the `Fraction`.
+
+The records `CountCheck`, `RatioRecord` and `RatioScan` live in `counters`,
+and each is imported by the function that builds it, as is `generate`'s
+`COUNTED` by `verify_counts`: so ``ascpart ratios``, which calls
+`ratio_csv` alone, loads neither `dataclasses` nor `generate`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 
 from .counting import CountContext
 from .errors import require_at_least, require_one_of
-from .generate import COUNTED
 
 
 def _formulas(p, d, r):
@@ -84,27 +87,11 @@ def format_ratio(numerator: int, denominator: int) -> str:
     return f"{q // 100000}.{q % 100000:05d}"
 
 
-@dataclass(frozen=True)
-class CountCheck:
-    """A counted generator's tallies at n against its predicted counts and p(n) visits."""
-
-    n: int
-    algorithm: int  # the key in `generate.COUNTED`
-    expected_assignments: int
-    actual_assignments: int
-    expected_bool_evals: int
-    actual_bool_evals: int
-    expected_visits: int
-    actual_visits: int
-
-    @property
-    def passed(self) -> bool:
-        return ((self.expected_assignments, self.expected_bool_evals, self.expected_visits)
-                == (self.actual_assignments, self.actual_bool_evals, self.actual_visits))
-
-
 def verify_counts(n: int, ctx: CountContext, alg: int) -> CountCheck:
     """Run ``COUNTED[alg]`` at n and check it against `_predicted` and p(n)."""
+    from .counters import CountCheck
+    from .generate import COUNTED
+
     require_one_of(alg, COUNTED, "alg")
     assignments, bool_evals = _predicted(n, ctx)[alg]
     ops = COUNTED[alg](n)
@@ -123,24 +110,10 @@ def verify_v3_counts(n: int, ctx: CountContext) -> CountCheck:
     return verify_counts(n, ctx, 3)
 
 
-@dataclass(frozen=True)
-class RatioRecord:
-    n: int
-    r1: float
-    r2: float
-
-
-@dataclass(frozen=True)
-class RatioScan:
-    records: list[RatioRecord]
-    argmin_r1: int
-    argmin_r2: int
-    # n where a ratio falls outside (0, 1): gen_v3 not strictly cheaper there.
-    range_violations: list[int]
-
-
 def ratio_table(n_max: int, ctx: CountContext) -> RatioScan:
     """Ratio records for 2 <= n <= n_max plus the argmin of each column."""
+    from .counters import RatioRecord, RatioScan
+
     records = []
     violations = []
     # each best is (numerator, denominator); 1 / 0 stands for +infinity

@@ -57,14 +57,17 @@ mutated once cached.  The sum path reads one count per term, so at large n it
 is a cross-check meant for n <= 60.  Values are plain Python ints, so arbitrary
 magnitudes stay exact; every subtraction along the closed forms and the
 reduction path is checked to be nonnegative, raising ArithmeticError if not.
+
+``check_inequalities`` imports its `InequalityReport` from `counters` when
+called, as every record is imported by the function that builds it, so
+``ascpart count`` never loads `dataclasses`.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
 from itertools import chain
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, sub
 
 from .errors import DomainError, require_at_least, require_within
 
@@ -85,7 +88,8 @@ def _fill_partition_numbers(length):
     over the generalized pentagonal numbers j(3j - 1) / 2, j(3j + 1) / 2 for
     j = 1, 2, ..., whose terms take the sign of (-1)^(j+1).  The offsets are
     kept negated and split by sign, so that while p holds p(0..k-1), p(k - g)
-    is p[-g] and p(k) is two C-level sums over the offsets g <= k.
+    is p[-g] and p(k) is two C-level sums, each over the terms that one
+    itemgetter call reads at the offsets g <= k.
     """
     pentagonal = []
     j = 1
@@ -93,13 +97,14 @@ def _fill_partition_numbers(length):
         pentagonal += (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2)
         j += 1
     p = [1]
-    get = p.__getitem__
     plus, minus = [], []
     for i, (g, end) in enumerate(zip(pentagonal, pentagonal[1:] + [length + 1])):
         (minus if i & 2 else plus).append(-g)
-        # for g <= k < end the offsets <= k stay the same
+        # for g <= k < end the offsets <= k stay the same; each getter also
+        # reads p[0] twice, so it always returns a tuple, and the pads cancel
+        take, drop = itemgetter(0, 0, *plus), itemgetter(0, 0, *minus)
         for _ in range(g, min(end, length + 1)):
-            p.append(sum(map(get, plus)) - sum(map(get, minus)))
+            p.append(sum(take(p)) - sum(drop(p)))
     return p
 
 
@@ -299,6 +304,8 @@ class CountContext:
         holds) and, for n >= 2, triple-ratio(n) <= double-ratio(n-1).
         Both are expected to hold everywhere.
         """
+        from .counters import InequalityReport
+
         require_within(n_max, DEFAULT_CAP, "count", "n_max")
         p, d, r = self.closed_forms(max(n_max, 0))
         below = [0] * 5 + p  # below[k + 5] = p(k), and 0 for -5 <= k < 0
@@ -320,14 +327,3 @@ class CountContext:
             dominance_violations=dominance_violations,
         )
 
-
-@dataclass(frozen=True)
-class InequalityReport:
-    n_max: int
-    growth_violations: list[int] = field(default_factory=list)
-    growth_equalities: list[int] = field(default_factory=list)
-    dominance_violations: list[int] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.growth_violations and not self.dominance_violations

@@ -48,7 +48,8 @@ from __future__ import annotations
 from .errors import require_at_least, require_one_of, require_within
 
 # The counted variants import OpCounters, named in their annotations, when
-# called: it loads dataclasses, which the plain generators do without.
+# called, as every record in `counters` is imported by the function that
+# builds it: it loads dataclasses, which the plain generators do without.
 
 # Collector guard: materializing all compositions is for tests and small
 # demos only (p(45) = 89134 already).

@@ -43,21 +43,61 @@ def test_generate_loads_only_what_it_runs():
     assert "dataclasses" not in loaded
 
 
-def test_count_loads_no_other_command():
-    loaded = modules_loaded_by("from ascpart.cli import main\nmain(['count', '5'])")
-    assert "ascpart.counting" in loaded
-    for name in ("analysis", "bench", "checks", "oracle", "ptree", "traversal"):
-        assert f"ascpart.{name}" not in loaded
-    assert not loaded & {"fractions", "statistics"}
-
-
-@pytest.mark.parametrize("argv", [["ratios", "--max-n", "5"], ["verify", "--max-n", "4"]],
-                         ids=["ratios", "verify"])
-def test_exact_counts_load_no_fractions(argv):
+# count and ratios build no record and print from integer counts, so they load
+# neither the records' dataclasses (and the inspect it pulls in) nor rationals
+UNUSED_BY_COUNTS = {"dataclasses", "inspect", "fractions", "decimal", "numbers", "statistics"}
+# id -> (argv, the ascpart modules it loads, modules it must not load)
+COMMANDS = {
+    "count": (["count", "5"], {"counting"}, UNUSED_BY_COUNTS),
+    "count-ratio": (["count", "5", "--ratio-t", "3"], {"counting"}, UNUSED_BY_COUNTS),
+    "ratios": (["ratios", "--max-n", "5"], {"analysis", "counting"}, UNUSED_BY_COUNTS),
     # format_ratio works on integer pairs; only r1_exact/r2_exact load Fraction
+    "verify": (["verify", "--max-n", "4"],
+               {"analysis", "checks", "counters", "counting", "generate", "oracle", "ptree"},
+               {"fractions", "decimal", "numbers"}),
+}
+
+
+@pytest.mark.parametrize("argv, modules, never", COMMANDS.values(), ids=COMMANDS)
+def test_command_loads_exactly_its_modules(argv, modules, never):
     loaded = modules_loaded_by(f"from ascpart.cli import main\nmain({argv!r})")
-    assert "ascpart.analysis" in loaded
-    assert not loaded & {"fractions", "decimal", "numbers"}
+    assert {name for name in loaded if name.startswith("ascpart")} == {
+        "ascpart", "ascpart.cli", "ascpart.errors", *(f"ascpart.{name}" for name in modules)}
+    assert not loaded & never
+
+
+def _load_time_imports(node):
+    """The top-level name of each absolute import that runs when `node`'s module
+    loads: every import outside a function body."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in child.names)
+        elif isinstance(child, ast.ImportFrom) and not child.level:
+            yield child.module.split(".")[0]
+        elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield from _load_time_imports(child)
+
+
+def test_command_modules_import_no_dataclasses_at_load():
+    # the records live in counters and are imported by the function that
+    # builds each one, so these modules load no dataclasses for a command
+    package = Path(ascpart.__file__).parent
+    for name in ("analysis", "cli", "counting", "errors", "generate", "render"):
+        imports = set(_load_time_imports(ast.parse((package / f"{name}.py").read_text())))
+        assert "dataclasses" not in imports, name
+
+
+def test_records_are_the_exported_classes():
+    from ascpart.analysis import ratio_table, verify_counts
+    from ascpart.counting import CountContext
+
+    ctx = CountContext()
+    assert type(ctx.check_inequalities(10)) is ascpart.InequalityReport
+    assert type(verify_counts(5, ctx, 2)) is ascpart.CountCheck
+    scan = ratio_table(5, ctx)
+    assert type(scan) is ascpart.RatioScan
+    assert {type(record) for record in scan.records} == {ascpart.RatioRecord}
+    assert ascpart.RatioRecord is ascpart.counters.RatioRecord
 
 
 def test_public_names_are_their_submodules():
