@@ -2,7 +2,8 @@
 
 Subcommands::
 
-    count <n> [--min-part M] [--ratio-t T]    partition counts
+    count <n> [--min-part M] [--ratio-t T]    partition counts of n >= 0,
+                                              with T = 1 unless given
     generate <n> [--limit K] [--descending]   one composition per line
     verify [--max-n N]                        self-verification battery
     tree <n> --kind partition|binary [--out PATH]
@@ -41,11 +42,7 @@ def _open_out(path):
 def _cmd_count(args):
     from .counting import CountContext
 
-    ctx = CountContext()
-    if args.ratio_t is None:
-        print(ctx.restricted_count(args.n, args.min_part))
-    else:
-        print(ctx.ratio_restricted_count(args.n, args.min_part, args.ratio_t))
+    print(CountContext().ratio_restricted_count(args.n, args.min_part, args.ratio_t))
     return 0
 
 
@@ -121,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="print a partition count")
     p.add_argument("n", type=int)
     p.add_argument("--min-part", type=int, default=1, metavar="M")
-    p.add_argument("--ratio-t", type=int, default=None, metavar="T")
+    p.add_argument("--ratio-t", type=int, default=1, metavar="T")
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("generate", help="stream ascending compositions, one per line")

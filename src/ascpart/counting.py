@@ -6,11 +6,13 @@ single-part partitions qualify unconditionally.  Writing ``q = n // (t + 1)``,
 the count obeys
 
     count(t, n, m) = count(t, n - m, m) + count(t, n, m + 1)    for m <= q,
-    count(t, n, m) = 1                                          for q < m <= n,
+    count(t, n, m) = 1                                for n = 0 or q < m <= n,
 
 since a qualifying partition either uses the part ``m`` (strip one copy) or
 has every part >= m + 1, and a qualifying partition with two or more parts
 needs largest + second >= (t + 1) * smallest, so its smallest part is <= q.
+The one partition of 0 is the empty one, so every count takes n >= 0, and
+`CountContext._served` alone states these base cases.
 
 Everything else is a special case of that count or another route to it:
 
@@ -29,7 +31,7 @@ Everything else is a special case of that count or another route to it:
   that is sum_j c_j p(n - j) over the coefficients c of a finite product;
 * closed forms per n, the product form's m = 1 cases: double-ratio =
   p(n) - p(n-2) and triple-ratio = p(n) - p(n-2) - p(n-3) + p(n-5), with
-  p(k) = 0 for k < 0; they hold for every n >= 1;
+  p(k) = 0 for k < 0; they hold for every n >= 0;
 * the same closed forms for a whole range: ``closed_forms(n)`` applies the
   two factors to the p column itself, d(k) = p(k) - p(k-2) and then
   r(k) = d(k) - d(k-3), one list subtraction each.
@@ -76,6 +78,7 @@ DEFAULT_CAP = 5000
 
 
 def _validate_nmt(n, m, t):
+    require_at_least(n, 0)
     require_at_least(t, 1, "ratio factor")
     require_at_least(m, 1, "minimum part")
     require_within(n, DEFAULT_CAP, "count")
@@ -172,14 +175,14 @@ class CountContext:
         rule ranks cheaper for (n, m, t); a cached column does not change the
         choice.
         """
-        require_at_least(n, 1)
         _validate_nmt(n, m, t)
         return self._served(n, m, t)
 
     def _served(self, n, m, t):
-        """`ratio_restricted_count` for arguments already checked."""
+        """`ratio_restricted_count` for checked arguments; it alone states the
+        base cases m > n // (t + 1): 1 at n = 0 or m <= n, and 0 for 0 < n < m."""
         if m > n:
-            return 0
+            return int(n == 0)
         if m > n // (t + 1):
             return 1
         if 3 * n * (m + t) < 2 * (t + 1) * (n // (t + 1) - m) ** 2:
@@ -209,10 +212,6 @@ class CountContext:
 
     def restricted_count(self, n: int, m: int) -> int:
         """p(n, m): partitions of n with every part >= m."""
-        require_at_least(n, 0)
-        if n == 0:
-            require_at_least(m, 1, "minimum part")
-            return 1
         return self.ratio_restricted_count(n, m, 1)
 
     def partition_count(self, n: int) -> int:
@@ -247,17 +246,14 @@ class CountContext:
         return self._reduce(t, n, m)
 
     def _reduce(self, t, n, m):
-        if t == 1:  # the t = 2 caller had 1 <= m <= n // 3, so n >= 1 here
-            return self._served(n, m, 1)
-        if m > n // (t + 1):
-            return 1 if n == 0 or m <= n else 0
+        if t == 1 or m > n // (t + 1):
+            return self._served(n, m, t)
         value = self._reduce(t - 1, n, m) - self._reduce(t - 1, n - t, m)
         if value < 0:
             raise ArithmeticError(f"reduction went negative at (t={t}, n={n}, m={m})")
         return value
 
     def _closed(self, n, t):
-        require_at_least(n, 1)
         _validate_nmt(n, 1, t)
         value = self._product_count(n, 1, t)
         if value < 0:

@@ -45,9 +45,10 @@ def has_ratio_property(parts, t: int) -> bool:
     """True if the largest part is >= t times the second largest.
 
     ``parts`` is an ascending composition, so the largest part is last.
-    Single-part compositions qualify unconditionally.
+    Compositions with fewer than two parts, the empty one of 0 included,
+    qualify unconditionally.
     """
-    return len(parts) == 1 or parts[-1] >= t * parts[-2]
+    return len(parts) < 2 or parts[-1] >= t * parts[-2]
 
 
 def brute_ratio_count(n: int, m: int, t: int) -> int:

@@ -123,3 +123,38 @@ def test_bench_guard_is_the_visits_bench_makes(monkeypatch, ctx):
     with pytest.raises(CapacityError, match=f"^visits={made} exceeds the visit cap {made - 1}$"):
         bench_table([8, 10], reps=2, ctx=ctx)
     assert visits == 2 * made  # refused before any run
+
+
+def _drifting():
+    """A generator whose stream gains one composition, (n,), per call."""
+    calls = []
+
+    def gen(n, consumer):
+        calls.append(n)
+        for _ in calls:
+            consumer([0, n], 1)
+    return gen
+
+
+@pytest.mark.parametrize("reps, message", [
+    (2, "nondeterministic checksum for v1 at n=5"),  # the timed runs differ
+    (1, "warmup checksum mismatch for v1 at n=5"),  # the one timed run differs from the warmup
+], ids=["nondeterministic", "warmup"])
+def test_time_algorithm_refuses_a_changing_stream(monkeypatch, reps, message):
+    monkeypatch.setitem(ALGORITHMS, 1, _drifting())
+    with pytest.raises(RuntimeError, match=f"^{message}$"):
+        time_algorithm(5, 1, reps)
+
+
+def test_bench_table_refuses_generators_that_disagree(monkeypatch, ctx):
+    # a deterministic stream, (n,) alone, that is not the other generators'
+    seen = []
+
+    def single(n, consumer):
+        seen.append(n)
+        consumer([0, n], 1)
+
+    monkeypatch.setitem(ALGORITHMS, 1, single)
+    with pytest.raises(RuntimeError, match=r"^checksum mismatch at n=8: v1=\d+ v2=\d+ v3=\d+$"):
+        bench_table([8, 10], reps=2, ctx=ctx)
+    assert seen == [8, 8]  # its warmup and one timed run; n = 10 never ran

@@ -32,8 +32,9 @@ def test_count_default(capsys):
 
 
 def test_count_zero(capsys):
-    code, out = run(capsys, "count", "0")
-    assert code == 0 and out == "1\n"
+    # the empty partition, for every T; --ratio-t defaults to 1
+    for option in ((), ("--ratio-t", "1"), ("--ratio-t", "3")):
+        assert run(capsys, "count", "0", *option) == (0, "1\n")
 
 
 def test_count_min_part(capsys):
@@ -311,11 +312,12 @@ def test_usage_errors_exit_two(argv, tmp_path):
     (("ratios", "--max-n", "5001", "--out", "{out}"), "n=5001 exceeds the count cap 5000"),
     (("verify", "--max-n", "1"), "max_n must be >= 2, got 1"),
     (("count", "5", "--ratio-t", "0"), "ratio factor must be >= 1, got 0"),
+    (("count", "-1", "--ratio-t", "2"), "n must be >= 0, got -1"),
     (("generate", "5", "--limit", "-1"), "limit must be >= 0, got -1"),
     # the visit guard fires before p(n) reaches the count cap
     (("verify", "--max-n", "90000"), "visits=1059569812 exceeds the visit cap 1000000000"),
 ], ids=["bench-n", "bench-n-negative", "ratios-max-n", "ratios-max-n-out", "ratios-cap-out",
-        "verify-max-n", "count-ratio-t", "generate-limit", "verify-visits"])
+        "verify-max-n", "count-ratio-t", "count-n-ratio", "generate-limit", "verify-visits"])
 def test_bounds_are_the_library_guards(argv, message, capsys, tmp_path):
     # argparse only parses: each bound is the library's, printed in one shape
     out = tmp_path / "out"

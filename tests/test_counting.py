@@ -136,10 +136,21 @@ def test_closed_forms(ctx):
 def test_closed_forms_range_matches_the_per_n_counts(ctx):
     p, d, r = ctx.closed_forms(DEFAULT_CAP)
     assert p == [ctx.partition_count(n) for n in range(DEFAULT_CAP + 1)]
-    assert d == [1] + [ctx.p2_closed(n) for n in range(1, DEFAULT_CAP + 1)]
-    assert r == [1] + [ctx.p3_closed(n) for n in range(1, DEFAULT_CAP + 1)]
+    assert d == [ctx.p2_closed(n) for n in range(DEFAULT_CAP + 1)]
+    assert r == [ctx.p3_closed(n) for n in range(DEFAULT_CAP + 1)]
     assert ctx.closed_forms(0) == ([1], [1], [1])
     assert ctx.closed_forms(6) == (P_SMALL[:7], [1, 1, 1, 2, 3, 4, 6], [1, 1, 1, 1, 2, 3, 4])
+
+
+def test_every_count_is_one_at_zero():
+    # count(t, 0, m) = 1: the empty partition, on every path that takes n = 0
+    ctx = CountContext()
+    p, d, r = ctx.closed_forms(0)
+    assert [ctx.partition_count(0), ctx.p2_closed(0), ctx.p3_closed(0)] == p + d + r == [1, 1, 1]
+    for t in range(1, 5):
+        assert ctx.ratio_count(0, t) == 1
+        for m in range(1, 4):
+            assert ctx.ratio_restricted_count(0, m, t) == ctx.restricted_count(0, m) == 1
 
 
 def test_closed_forms_range_returns_copies():
@@ -197,9 +208,9 @@ def test_public_counts_match_the_recurrence_columns(ctx):
     # public counts with each other compares that path with itself; here the
     # recurrence's own columns are the reference
     for t in (2, 3, 4):
-        assert [ctx.ratio_count(n, t) for n in range(1, 301)] == _fill_column(t, 1, 300)[1:]
-    assert [ctx.p2_closed(n) for n in range(1, 301)] == _fill_column(2, 1, 300)[1:]
-    assert [ctx.p3_closed(n) for n in range(1, 301)] == _fill_column(3, 1, 300)[1:]
+        assert [ctx.ratio_count(n, t) for n in range(301)] == _fill_column(t, 1, 300)
+    assert [ctx.p2_closed(n) for n in range(301)] == _fill_column(2, 1, 300)
+    assert [ctx.p3_closed(n) for n in range(301)] == _fill_column(3, 1, 300)
     assert [ctx.restricted_count(n, 1) for n in range(5001)] == _fill_column(1, 1, 5000)
 
 
@@ -329,7 +340,7 @@ class QueryOrder(RuleBasedStateMachine):
         if args[0] <= 28:
             assert got == _oracle_count(*oracle_args)
 
-    @rule(n=st.integers(1, N_MAX), m=st.integers(1, 24), t=st.integers(1, 4))
+    @rule(n=st.integers(0, N_MAX), m=st.integers(1, 24), t=st.integers(1, 4))
     def ratio_restricted_count(self, n, m, t):
         self.check("ratio_restricted_count", (n, m, t), (n, m, t))
 
@@ -341,11 +352,11 @@ class QueryOrder(RuleBasedStateMachine):
     def partition_count(self, n):
         self.check("partition_count", (n,), (n, 1, 1))
 
-    @rule(n=st.integers(1, N_MAX))
+    @rule(n=st.integers(0, N_MAX))
     def p2_closed(self, n):
         self.check("p2_closed", (n,), (n, 1, 2))
 
-    @rule(n=st.integers(1, N_MAX))
+    @rule(n=st.integers(0, N_MAX))
     def p3_closed(self, n):
         self.check("p3_closed", (n,), (n, 1, 3))
 

@@ -90,10 +90,10 @@ GUARDS = [
     ("inorder_v1", lambda: inorder_v1(0), DomainError, "n must be >= 1, got 0"),
     ("inorder_v2", lambda: inorder_v2(-3), DomainError, "n must be >= 1, got -3"),
     # CountContext
-    ("ratio_restricted-n", _ctx("ratio_restricted_count", 0, 1, 2), DomainError,
-     "n must be >= 1, got 0"),
-    ("ratio_restricted-n-first", _ctx("ratio_restricted_count", 0, 0, 0), DomainError,
-     "n must be >= 1, got 0"),
+    ("ratio_restricted-n", _ctx("ratio_restricted_count", -1, 1, 2), DomainError,
+     "n must be >= 0, got -1"),
+    ("ratio_restricted-n-first", _ctx("ratio_restricted_count", -1, 0, 0), DomainError,
+     "n must be >= 0, got -1"),
     ("ratio_restricted-t", _ctx("ratio_restricted_count", 5, 1, 0), DomainError,
      "ratio factor must be >= 1, got 0"),
     ("ratio_restricted-t-first", _ctx("ratio_restricted_count", 5, 0, 0), DomainError,
@@ -104,7 +104,7 @@ GUARDS = [
      "minimum part must be >= 1, got 0"),
     ("ratio_restricted-cap", _ctx("ratio_restricted_count", 5001, 1, 2), CapacityError,
      "n=5001 exceeds the count cap 5000"),
-    ("ratio_count-n", _ctx("ratio_count", 0, 2), DomainError, "n must be >= 1, got 0"),
+    ("ratio_count-n", _ctx("ratio_count", -1, 2), DomainError, "n must be >= 0, got -1"),
     ("ratio_count-t", _ctx("ratio_count", 5, 0), DomainError,
      "ratio factor must be >= 1, got 0"),
     ("ratio_count-cap", _ctx("ratio_count", 5001, 3), CapacityError,
@@ -139,10 +139,10 @@ GUARDS = [
      "need n > t > 1, got n=3, t=3"),
     ("via_reduction-domain", _ctx("ratio_count_via_reduction", 15, 6, 2), DomainError,
      "need m <= n // (t + 1) = 5, got m=6"),
-    ("p2_closed-n", _ctx("p2_closed", 0), DomainError, "n must be >= 1, got 0"),
+    ("p2_closed-n", _ctx("p2_closed", -1), DomainError, "n must be >= 0, got -1"),
     ("p2_closed-cap", _ctx("p2_closed", 5001), CapacityError,
      "n=5001 exceeds the count cap 5000"),
-    ("p3_closed-n", _ctx("p3_closed", 0), DomainError, "n must be >= 1, got 0"),
+    ("p3_closed-n", _ctx("p3_closed", -1), DomainError, "n must be >= 0, got -1"),
     ("p3_closed-cap", _ctx("p3_closed", 5001), CapacityError,
      "n=5001 exceeds the count cap 5000"),
     ("check_inequalities-cap", _ctx("check_inequalities", 5001), CapacityError,

@@ -36,6 +36,7 @@ def test_ratio_witnesses_triple():
 
 
 def test_ratio_property_reads_largest_two_parts():
+    assert has_ratio_property((), 2)  # the empty partition of 0
     assert has_ratio_property((15,), 9)
     assert has_ratio_property((3, 4, 8), 2)
     assert not has_ratio_property((3, 4, 8), 3)
