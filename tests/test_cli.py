@@ -143,14 +143,30 @@ def test_render_v3_yields_exactly_limit_lines(descending):
 
 @pytest.mark.parametrize("descending", [False, True])
 def test_render_v3_cuts_blocks_at_every_line(descending):
-    # up to n = 16 the whole output is one cached block, and at 17 and 18
-    # the blocks sit between lines rendered one by one and chunk boundaries
+    # up to n = 16 the whole output is one cached block; at 17 and 18 it is
+    # the stamps of S(1, 16) and its siblings, cut by chunk boundaries
     for n in range(1, 19):
         want = reference_lines(n, descending)
         for limit in range(len(want) + 2):
             chunks = list(render_v3(n, descending, limit))
             assert "".join(chunks) == "".join(want[:limit]), (n, limit)
             assert all(chunk.count("\n") >= CHUNK_LINES for chunk in chunks[:-1]), (n, limit)
+
+
+@pytest.mark.parametrize("block_sum, block_lines", [(0, 0), (4, 2), (6, 4), (12, 7), (20, 256)])
+def test_render_v3_with_small_blocks(monkeypatch, block_sum, block_lines):
+    # With the real constants the lines rendered one by one, a node's x <= y
+    # run and its single part, occur only at sums above 64; smaller
+    # constants bring them, and their mix with stamps, down to n <= 25.
+    monkeypatch.setattr("ascpart.render.BLOCK_SUM", block_sum)
+    monkeypatch.setattr("ascpart.render.BLOCK_LINES", block_lines)
+    for n in range(1, 26):
+        for descending in (False, True):
+            want = reference_lines(n, descending)
+            for limit in (None, 0, 1, 2, 17, len(want) - 1, len(want) + 1):
+                chunks = list(render_v3(n, descending, limit))
+                assert "".join(chunks) == "".join(want[:limit]), (n, descending, limit)
+                assert all(chunk.count("\n") >= CHUNK_LINES for chunk in chunks[:-1])
 
 
 def ascpart_command(*argv):
