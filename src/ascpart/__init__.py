@@ -23,7 +23,8 @@ _EXPORTS = {
     "errors": ("AscpartError", "CapacityError", "DomainError"),
     "generate": ("ALGORITHMS", "COLLECT_CAP", "COUNTED", "VISIT_CAP", "collect_compositions",
                  "gen_v1", "gen_v2", "gen_v2_counted", "gen_v3", "gen_v3_counted"),
-    "oracle": ("ORACLE_CAP", "brute_compositions", "brute_ratio_count", "has_ratio_property"),
+    "oracle": ("ORACLE_CAP", "brute_compositions", "brute_encoded", "brute_ratio_count",
+               "has_ratio_property"),
     "ptree": ("MATERIALIZE_CAP", "Tree", "build_partition_tree", "build_strict_tree",
               "decode_path", "iter_root_to_leaf_paths", "strict_left_child",
               "strict_right_child", "to_dot", "tree_children"),

@@ -25,6 +25,11 @@ def _stream(edit, extra=0):
     return defect
 
 
+def _replace(old, new):
+    """A stream edit that writes the composition ``new`` where ``old`` was."""
+    return lambda s: [a[:1] + [*new] if a[1:] == [*old] else a for a in s]
+
+
 def _pentagonal_entry(k):
     """A defect in the cached (1, 1) column, Euler's p: p(k) off by one."""
     def defect(columns):
@@ -46,8 +51,14 @@ def _series_entry(t, k):
      "double-ratio(5)"),
     (checks.generation, 8, checks, "ALGORITHMS", _stream(lambda s: s[:-1]), "alg 2"),
     (checks.generation, 8, checks, "ALGORITHMS", _stream(lambda s: s[:1] + s[2:0:-1] + s[3:]),
-     "alg 2"),
-    (checks.generation, 8, checks, "ALGORITHMS", _stream(lambda s: s + s[-1:]), "alg 2"),
+     "alg 2, n=3: composition #1 is (3,), want (1, 2)"),
+    # parts no byte holds: the comparison with the oracle's bytes must not raise
+    (checks.generation, 8, checks, "ALGORITHMS", _stream(_replace((2, 2), (2, 300))),
+     "alg 2, n=4: composition #3 is (2, 300), want (2, 2)"),
+    (checks.generation, 8, checks, "ALGORITHMS", _stream(_replace((1, 3), (-1, 3))),
+     "alg 2, n=4: composition #2 is (-1, 3), want (1, 3)"),
+    (checks.generation, 8, checks, "ALGORITHMS", _stream(lambda s: s + s[-1:]),
+     "alg 2, n=1: composition #1 is (1,), want None"),
     (checks.generation, 8, checks, "ALGORITHMS", _stream(lambda s: s, extra=1), "alg 2"),
     (checks.cross_paths, 8, None, "p2_closed", _result(lambda v: v + 1), "closed form t=2"),
     (checks.cross_paths, 8, None, "closed_forms", _series_entry(3, 7),
@@ -67,9 +78,9 @@ def _series_entry(t, k):
      "binary tree"),
     (checks.inequalities, 100, None, "check_inequalities",
      _result(lambda r: replace(r, dominance_violations=[7])), "[7]"),
-], ids=["worked", "missing", "swapped", "extra", "miscounted", "closed-form",
-        "closed-form-series", "pentagonal", "pentagonal-above-crossover", "product", "op-counts",
-        "op-counts-visits", "tree", "inequality"])
+], ids=["worked", "missing", "swapped", "part-300", "part-negative", "extra", "miscounted",
+        "closed-form", "closed-form-series", "pentagonal", "pentagonal-above-crossover", "product",
+        "op-counts", "op-counts-visits", "tree", "inequality"])
 def test_check_fails_on_defect(monkeypatch, check, n_max, target, name, defect, names):
     ctx = CountContext()
     assert check(ctx, n_max).ok
