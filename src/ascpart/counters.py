@@ -13,7 +13,9 @@ The counting convention of `OpCounters`, used consistently by `traversal` and
 `generate`: each executed assignment line counts once (a line assigning a pair
 like ``(x, y) <- ...`` is still one line), every evaluation of a while/if
 condition counts once, and ``visits`` counts visited nodes / emitted
-compositions rather than visit statements.
+compositions rather than visit statements.  `generate._profile` is the one
+place that states which statements of a generator it excludes: the
+emitted-count bookkeeping and the buffer allocation.
 """
 
 from __future__ import annotations

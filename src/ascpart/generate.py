@@ -22,34 +22,41 @@ that read defined (the loop then exits).
   two parts without touching the descent loop at all.
 
 `ALGORITHMS` maps each generator's key to its plain loop, and `COUNTED` maps
-the same key to its counted loop: `gen_v2_counted` / `gen_v3_counted` are
-the loops of `gen_v2` / `gen_v3` with operation tallies and without the
-visits.  They take only n, emit nothing and return the tallies.  Every
-other statement stays, the array writes that only a visit would read
-included, since the tallies count them; a test compares each counted loop
-with its plain one statement by statement.  Their assignment and
-boolean-evaluation counts are exact functions of n, which `analysis` keys
-like `COUNTED`; that is what the counted variants exist to demonstrate.
-They count each loop's passes: the outer loop adds one per pass, and every
-other loop's passes are read off the change in a variable that the loop
-steps by one per pass.  The tallies are built at return as each loop's
-passes times the lines one pass executes; the per-loop weights are tabled
-in their docstrings.
+the same key to its counted variant: `gen_v2_counted` / `gen_v3_counted` take
+only n, emit nothing and return `gen_v2`'s / `gen_v3`'s exact operation
+tallies at n, which `analysis` predicts from p(n), d(n) and r(n).  They read
+them off a block profile of the plain loop (Knuth & Stevenson, BIT 1973), so
+each loop has one copy: `_profile` compiles a copy of the generator without
+its visits and with a counter at the head of each block, and weighs each
+block by one rule; a tally is each block's runs times its weights.  Each
+block's runs are a partition class, which is why the formulas hold.  With
+p = p(n), d = `p2_closed(n)` and r = `p3_closed(n)`:
 
-The plain variants return the number of compositions they emitted, counted
-the same way: each pass of an ``x <= y`` loop emits one composition and adds
-one to x, so an outer pass adds the change in x across its inner loops, plus
-one for its final visit.  That is a few additions per outer pass and none
-per visit; they keep no other tallies, so timing runs stay undistorted.
+* `gen_v2`'s outer, descent and ``x <= y`` blocks run d, d - 1 and p - d
+  times, weighing 3 + 5O + 3D + 4I assignments and 1 + 3O + D + I
+  evaluations;
+* `gen_v3`'s outer and descent blocks run r and r - 1 times, and its
+  ``2 * x <= y`` (P), ``p <= q`` (S) and last ``x <= y`` (T) blocks make
+  2P + S + T = p - r, weighing 3 + 6O + 3D + 8P + 4S + 4T assignments and
+  1 + 4O + D + 2P + S + T evaluations.
+
+The plain variants return the number of compositions they emitted, read off
+their loop variables: each pass of an ``x <= y`` loop emits one composition
+and adds one to x, so an outer pass adds the change in x across its inner
+loops, plus one for its final visit.  That is a few additions per outer pass
+and none per visit; they keep no other tallies, so timing runs stay
+undistorted.
 """
 
 from __future__ import annotations
 
+from functools import cache
+
 from .errors import require_at_least, require_one_of, require_within
 
-# The counted variants import OpCounters, named in their annotations, when
-# called, as every record in `counters` is imported by the function that
-# builds it: it loads dataclasses, which the plain generators do without.
+# The counted variants import OpCounters, named in their annotations, and
+# the profile its ast and inspect, when called, as every record in `counters`
+# is imported by the function that builds it: the plain generators load none.
 
 # Collector guard: materializing all compositions is for tests and small
 # demos only (p(45) = 89134 already).
@@ -193,122 +200,92 @@ def gen_v3(n: int, consumer) -> int:
     return count
 
 
-def gen_v2_counted(n: int) -> OpCounters:
-    """`gen_v2`'s loop with exact operation tallies; requires n >= 2.
+@cache
+def _profile(gen):
+    """`gen`'s block profile: (run, weights), built once per generator.
 
-    Nothing is emitted: a visit is a tally, and the array writes stay because
-    they are counted.  Assignments count executed assignment lines including
-    the three initializations; bool_evals counts loop-condition evaluations.
-    With O outer, D descent and I ``x <= y`` passes, the tallies are those
-    passes times the lines one pass executes:
+    ``run(n, consumer)`` is a compiled copy of `gen` without its
+    ``consumer(...)`` calls that returns how often each block ran: the
+    function body, then each loop body and ``if``/``else`` branch in source
+    order.  ``weights`` holds each block's (assignments, bool_evals,
+    visits), read off the source by the convention of `counters`:
 
-    ============  ======================
-    assignments   3 + 5O + 3D + 4I
-    bool_evals    1 + 3O + D + I
-    visits        O + I
-    ============  ======================
+    * an assignment statement counts once, except one to ``count`` (the
+      emitted-count bookkeeping) and the buffer allocation ``a = [0] * ...``;
+    * a ``while`` test counts once in the block that holds it and once more
+      per pass of its body, and an ``if`` test once;
+    * a ``consumer(...)`` call is a visit, and any other expression statement
+      (the docstring, the guard) and the final ``return`` count nothing.
 
-    Only the outer loop adds one per pass.  I is read off x, which gains one
-    per ``x <= y`` pass.  k gains one per descent pass and loses one per
-    outer pass, from 1 down to 0, so D = O - 1.
+    Any other statement raises ValueError: a profile that cannot weigh a
+    statement returns no count.
     """
+    import ast
+    import inspect
+
+    func = ast.parse(inspect.getsource(gen)).body[0]
+    ast.increment_lineno(func, gen.__code__.co_firstlineno - 1)
+    if isinstance(func.body[-1], ast.Return):
+        func.body.pop()
+    weights = []
+
+    def block(body, evals):
+        """Weigh `body` and return it headed by its counter, without the visits."""
+        weight = [0, evals, 0]
+        kept = ast.parse(f"_block{len(weights)} += 1").body
+        weights.append(weight)
+        for stmt in body:
+            if isinstance(stmt, (ast.Assign, ast.AugAssign)):
+                weight[0] += not ast.unparse(stmt).startswith(("count ", "a = [0] *"))
+            elif isinstance(stmt, ast.While) and not stmt.orelse:
+                weight[1] += 1
+                stmt.body = block(stmt.body, 1)
+            elif isinstance(stmt, ast.If):
+                weight[1] += 1
+                stmt.body = block(stmt.body, 0)
+                if stmt.orelse:
+                    stmt.orelse = block(stmt.orelse, 0)
+            elif isinstance(stmt, ast.Expr):
+                if ast.unparse(stmt.value).startswith("consumer("):
+                    weight[2] += 1
+                    continue
+            else:
+                raise ValueError(f"cannot weigh {gen.__name__}'s {type(stmt).__name__} statement"
+                                 f" at line {stmt.lineno}: {ast.unparse(stmt).splitlines()[0]}")
+            kept.append(stmt)
+        return kept
+
+    body = block(func.body, 0)
+    counters = [f"_block{i}" for i in range(len(weights))]
+    func.body = [*ast.parse(" = ".join([*counters, "0"])).body, *body,
+                 *ast.parse(f"return {', '.join(counters)},").body]
+    namespace = {}
+    exec(compile(ast.fix_missing_locations(ast.Module([func], [])), gen.__code__.co_filename,
+                 "exec"), gen.__globals__, namespace)
+    return namespace[func.name], tuple(map(tuple, weights))
+
+
+def _tally(gen, n):
+    """`gen`'s `OpCounters` at n: each block's runs times its weights."""
     from .counters import OpCounters
 
+    run, weights = _profile(gen)
+    runs = run(n, None)
+    assignments, bool_evals, visits = (sum(r * w for r, w in zip(runs, column))
+                                       for column in zip(*weights))
+    return OpCounters(assignments=assignments, bool_evals=bool_evals, visits=visits)
+
+
+def gen_v2_counted(n: int) -> OpCounters:
+    """`gen_v2`'s exact operation tallies at n, read off its block profile; requires n >= 2."""
     require_at_least(n, 2)
-    a = [0] * (n + 3)
-    k = 1
-    x = 1
-    y = n - 1
-    outer = inner = 0
-    while k > 0:
-        outer += 1
-        while 2 * x <= y:
-            a[k] = x
-            y -= x
-            k += 1
-        t = k + 1
-        inner -= x
-        while x <= y:
-            a[k] = x
-            a[t] = y
-            x += 1
-            y -= 1
-        inner += x
-        y += x - 1
-        a[k] = y + 1
-        k -= 1
-        x = a[k] + 1
-    descent = outer - 1
-    return OpCounters(assignments=3 + 5 * outer + 3 * descent + 4 * inner,
-                      bool_evals=1 + 3 * outer + descent + inner,
-                      visits=outer + inner)
+    return _tally(gen_v2, n)
 
 
 def gen_v3_counted(n: int) -> OpCounters:
-    """`gen_v3`'s loop with exact operation tallies; requires n >= 2.
-
-    Emits nothing and is counted as in `gen_v2_counted`, with O outer and D
-    descent passes, and P, S and T passes of the ``2 * x <= y``, ``p <= q``
-    and final ``x <= y`` loops:
-
-    ============  ======================================
-    assignments   3 + 6O + 3D + 8P + 4S + 4T
-    bool_evals    1 + 4O + D + 2P + S + T
-    visits        O + 2P + S + T
-    ============  ======================================
-
-    P, S and T are read off their loop variables: each pass adds one to x
-    in the P and T loops and to p in the S loop.  D = O - 1, as there.
-    """
-    from .counters import OpCounters
-
+    """`gen_v3`'s exact operation tallies at n, read off its block profile; requires n >= 2."""
     require_at_least(n, 2)
-    a = [0] * (n + 3)
-    k = 1
-    x = 1
-    y = n - 1
-    outer = pairs = shifts = tail = 0
-    while k > 0:
-        outer += 1
-        while 3 * x <= y:
-            a[k] = x
-            y -= x
-            k += 1
-        t = k + 1
-        u = k + 2
-        pairs -= x
-        while 2 * x <= y:
-            a[k] = x
-            a[t] = x
-            a[u] = y - x
-            p = x + 1
-            q = y - p
-            while p <= q:
-                a[t] = p
-                a[u] = q
-                p += 1
-                q -= 1
-            shifts += p - x - 1
-            a[t] = y
-            x += 1
-            y -= 1
-        pairs += x
-        tail -= x
-        while x <= y:
-            a[k] = x
-            a[t] = y
-            x += 1
-            y -= 1
-        tail += x
-        y += x - 1
-        a[k] = y + 1
-        k -= 1
-        x = a[k] + 1
-    descent = outer - 1
-    return OpCounters(
-        assignments=3 + 6 * outer + 3 * descent + 8 * pairs + 4 * shifts + 4 * tail,
-        bool_evals=1 + 4 * outer + descent + 2 * pairs + shifts + tail,
-        visits=outer + 2 * pairs + shifts + tail)
+    return _tally(gen_v3, n)
 
 
 # One key per generator; `analysis._predicted` holds a formula for each COUNTED key.

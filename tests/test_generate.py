@@ -1,8 +1,5 @@
 """Generators: output equality, order, streaming contract, exact op counts."""
 
-import ast
-import inspect
-
 import pytest
 
 from ascpart import (
@@ -15,6 +12,7 @@ from ascpart import (
     gen_v3,
     gen_v3_counted,
 )
+from ascpart.generate import _profile, _tally
 
 
 def test_four_by_hand():
@@ -93,36 +91,44 @@ def test_counted_formulas(ctx, n):
         assert ops.pushes == ops.pops == 0
 
 
-# The names the generators count with; everything else in a loop is the paper's.
-TALLIES = {"count", "outer", "inner", "pairs", "shifts", "tail", "descent"}
+def test_blocks_are_partition_classes(ctx):
+    # each block's runs are a class of the partitions of n, which is why the
+    # counted tallies are the formulas of `analysis`
+    for n in range(2, 41):
+        p, d, r = ctx.partition_count(n), ctx.p2_closed(n), ctx.p3_closed(n)
+        body, outer, descent, inner = _profile(gen_v2)[0](n, None)
+        assert (body, outer, descent, inner) == (1, d, d - 1, p - d), n
+        body, outer, descent, pairs, shifts, tail = _profile(gen_v3)[0](n, None)
+        assert (body, outer, descent) == (1, r, r - 1), n
+        assert 2 * pairs + shifts + tail == p - r, n
 
 
-class _PaperStatements(ast.NodeTransformer):
-    """Drops tally updates and consumer calls, keeping every other statement."""
-
-    def visit_AugAssign(self, node):
-        return None if ast.unparse(node.target) in TALLIES else node
-
-    def visit_Expr(self, node):
-        call = node.value
-        is_visit = isinstance(call, ast.Call) and ast.unparse(call.func) == "consumer"
-        return None if is_visit else node
+def test_gen_v1_tallies(ctx):
+    # profiled here only: COUNTED, and so verify, keeps the two the paper compares
+    for n in range(2, 41):
+        p, d = ctx.partition_count(n), ctx.p2_closed(n)
+        ops = _tally(gen_v1, n)
+        assert (ops.assignments, ops.bool_evals, ops.visits) == (7 * p + 4 * d - 3, p + 4 * d, p)
 
 
-def paper_loop(gen):
-    """The ``while k > 0`` loop of ``gen``, without its tallies and visits."""
-    tree = ast.parse(inspect.getsource(gen))
-    loops = [node for node in ast.walk(tree)
-             if isinstance(node, ast.While) and ast.unparse(node.test) == "k > 0"]
-    assert len(loops) == 1, gen.__name__
-    return ast.dump(_PaperStatements().visit(loops[0]))
+def _counts_with_for(n, consumer):
+    for x in range(n):
+        consumer([x], 0)
 
 
-def test_counted_loop_is_the_plain_loop():
-    # statement for statement, so the counted variants step through the
-    # generators' states at every n
-    for alg, counted in COUNTED.items():
-        assert paper_loop(counted) == paper_loop(ALGORITHMS[alg]), counted.__name__
+def _counts_with_break(n, consumer):
+    while n:
+        break
+
+
+@pytest.mark.parametrize("gen, statement", [
+    (_counts_with_for, r"For statement at line \d+: for x in range\(n\):"),
+    (_counts_with_break, r"Break statement at line \d+: break"),
+], ids=["for", "break"])
+def test_profile_refuses_what_it_cannot_weigh(gen, statement):
+    # a profile that cannot weigh a statement must not return a count
+    with pytest.raises(ValueError, match=f"cannot weigh {gen.__name__}'s {statement}$"):
+        _profile(gen)
 
 
 def test_algorithm_table():

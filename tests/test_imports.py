@@ -43,6 +43,12 @@ def test_generate_loads_only_what_it_runs():
     assert "dataclasses" not in loaded
 
 
+def test_plain_generators_load_no_profile():
+    # the counted variants' block profile imports ast and inspect when called
+    loaded = modules_loaded_by("from ascpart import gen_v3\ngen_v3(5, lambda a, k: None)")
+    assert not loaded & {"ast", "inspect", "dataclasses"}
+
+
 # count and ratios build no record and print from integer counts, so they load
 # neither the records' dataclasses (and the inspect it pulls in) nor rationals
 UNUSED_BY_COUNTS = {"dataclasses", "inspect", "fractions", "decimal", "numbers", "statistics"}
