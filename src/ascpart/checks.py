@@ -44,15 +44,12 @@ def worked_examples(ctx, n_max):
                    [f"{name}={got}, want {want}" for got, want, name in examples if got != want])
 
 
-def _oracle_divergence(n, ctx):
-    """Where the first generator to differ from the oracle at n does, or None.
+def _oracle_divergence(n, ctx, expected):
+    """Where the first generator to differ from ``expected``, the oracle at n, does, or None.
 
-    A function of its own, so that one oracle list is alive at a time: the
-    list for n = 45, 4.7 MiB live as ``bytes``, is what sets the battery's
-    peak memory.  Each item is compared as a list of ints, which no part a
-    faulty generator writes can make raise.
+    Each item is compared as a list of ints, which no part a faulty
+    generator writes can make raise.
     """
-    expected = brute_encoded(n)
     if len(expected) != ctx.partition_count(n):
         return f"oracle at n={n}: {len(expected)} compositions, p(n) = {ctx.partition_count(n)}"
     for alg, gen in sorted(ALGORITHMS.items()):
@@ -77,10 +74,22 @@ def _oracle_divergence(n, ctx):
 
 
 def generation(ctx, n_max):
-    """Every generator's stream is the oracle's list, in order, with its count."""
+    """Every generator's stream is the oracle's list, in order, with its count.
+
+    One list, grown in place from n - 1 to n, is the oracle's at each n, so
+    the list for n = 45, 4.7 MiB live as ``bytes``, is still what sets the
+    battery's peak memory.
+    """
     name = f"generation vs brute force (n <= {n_max})"
+    expected = [b""]  # the empty composition of 0
     for n in range(1, n_max + 1):
-        detail = _oracle_divergence(n, ctx)
+        # brute_encoded(n) is the oracle's own first branch: brute_encoded(n - 1)
+        # with a 1 in front of each item, then the parts >= 2.  Each item is
+        # replaced in place, so the list is never held twice.
+        for i, composition in enumerate(expected):
+            expected[i] = b"\x01" + composition
+        expected += brute_encoded(n, 2)
+        detail = _oracle_divergence(n, ctx, expected)
         if detail:
             return CheckResult(name, False, detail)
     return CheckResult(name, True)

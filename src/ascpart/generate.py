@@ -27,8 +27,13 @@ only n, emit nothing and return `gen_v2`'s / `gen_v3`'s exact operation
 tallies at n, which `analysis` predicts from p(n), d(n) and r(n).  They read
 them off a block profile of the plain loop (Knuth & Stevenson, BIT 1973), so
 each loop has one copy: `_profile` compiles a copy of the generator without
-its visits and with a counter at the head of each block, and weighs each
-block by one rule; a tally is each block's runs times its weights.  Each
+its visits and its ``count`` bookkeeping, with a counter per block, and
+weighs each block by one rule; a tally is each block's runs times its
+weights.  A counter sits at the head of its block, except that a loop whose
+every pass adds one to a variable v, and writes v nowhere else, has its
+passes read off v's change, as the plain loops read their emitted count:
+the descent and ``x <= y`` loops and `gen_v3`'s ``p <= q`` loop cost the
+profile a few additions per outer pass and none per inner pass.  Each
 block's runs are a partition class, which is why the formulas hold.  With
 p = p(n), d = `p2_closed(n)` and r = `p3_closed(n)`:
 
@@ -205,17 +210,28 @@ def _profile(gen):
     """`gen`'s block profile: (run, weights), built once per generator.
 
     ``run(n, consumer)`` is a compiled copy of `gen` without its
-    ``consumer(...)`` calls that returns how often each block ran: the
-    function body, then each loop body and ``if``/``else`` branch in source
-    order.  ``weights`` holds each block's (assignments, bool_evals,
-    visits), read off the source by the convention of `counters`:
+    ``consumer(...)`` calls and its assignments to ``count`` (the
+    emitted-count bookkeeping, never returned) that returns how often each
+    block ran: the function body, then each loop body and ``if``/``else``
+    branch in source order.  ``weights`` holds each block's (assignments,
+    bool_evals, visits), read off the source by the convention of `counters`:
 
-    * an assignment statement counts once, except one to ``count`` (the
-      emitted-count bookkeeping) and the buffer allocation ``a = [0] * ...``;
+    * an assignment statement counts once, except one to ``count`` and the
+      buffer allocation ``a = [0] * ...``;
     * a ``while`` test counts once in the block that holds it and once more
       per pass of its body, and an ``if`` test once;
     * a ``consumer(...)`` call is a visit, and any other expression statement
       (the docstring, the guard) and the final ``return`` count nothing.
+
+    Each block's counter is a local that the copy adds one to at the block's
+    head, except for a unit-step loop, whose passes are read off its loop
+    variable, as Knuth & Stevenson place no counter where a count follows
+    from what is known: a ``while`` whose test writes nothing (no ``:=``)
+    and whose body, visits aside, is assignments alone that write some name
+    v once, as ``v += 1``, runs as often as v grows.  Its counter takes v
+    off before the loop and adds v back after it, two operations per entry
+    instead of one per pass.  Any other loop, ``v += 2`` or a second write
+    to v included, keeps its head counter.
 
     Any other statement raises ValueError: a profile that cannot weigh a
     statement returns no count.
@@ -229,24 +245,50 @@ def _profile(gen):
         func.body.pop()
     weights = []
 
-    def block(body, evals):
-        """Weigh `body` and return it headed by its counter, without the visits."""
+    def is_visit(stmt):
+        return isinstance(stmt, ast.Expr) and ast.unparse(stmt.value).startswith("consumer(")
+
+    def unit_step(loop):
+        """The name v that `loop`'s body writes only as ``v += 1``, if its passes are v's change.
+
+        That needs a body of assignments and visits alone, and a test that
+        writes nothing; otherwise None.
+        """
+        body = [stmt for stmt in loop.body if not is_visit(stmt)]
+        if (any(isinstance(node, ast.NamedExpr) for node in ast.walk(loop.test))
+                or not all(isinstance(stmt, (ast.Assign, ast.AugAssign)) for stmt in body)):
+            return None
+        writes = [node.id for stmt in body for node in ast.walk(stmt)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)]
+        sources = [ast.unparse(stmt) for stmt in body]
+        return next((v for v in writes if writes.count(v) == 1 and f"{v} += 1" in sources), None)
+
+    def block(body, evals, head=True):
+        """Weigh `body` and return it without the visits, headed by its counter if `head`."""
         weight = [0, evals, 0]
-        kept = ast.parse(f"_block{len(weights)} += 1").body
+        kept = ast.parse(f"_block{len(weights)} += 1").body if head else []
         weights.append(weight)
         for stmt in body:
             if isinstance(stmt, (ast.Assign, ast.AugAssign)):
-                weight[0] += not ast.unparse(stmt).startswith(("count ", "a = [0] *"))
+                source = ast.unparse(stmt)
+                if source.startswith("count "):
+                    continue
+                weight[0] += not source.startswith("a = [0] *")
             elif isinstance(stmt, ast.While) and not stmt.orelse:
                 weight[1] += 1
-                stmt.body = block(stmt.body, 1)
+                counter, step = f"_block{len(weights)}", unit_step(stmt)
+                stmt.body = block(stmt.body, 1, head=not step)
+                if step:
+                    kept += [*ast.parse(f"{counter} -= {step}").body, stmt,
+                             *ast.parse(f"{counter} += {step}").body]
+                    continue
             elif isinstance(stmt, ast.If):
                 weight[1] += 1
                 stmt.body = block(stmt.body, 0)
                 if stmt.orelse:
                     stmt.orelse = block(stmt.orelse, 0)
             elif isinstance(stmt, ast.Expr):
-                if ast.unparse(stmt.value).startswith("consumer("):
+                if is_visit(stmt):
                     weight[2] += 1
                     continue
             else:

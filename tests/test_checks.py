@@ -57,6 +57,9 @@ def _series_entry(t, k):
      "alg 2, n=4: composition #3 is (2, 300), want (2, 2)"),
     (checks.generation, 8, checks, "ALGORITHMS", _stream(_replace((1, 3), (-1, 3))),
      "alg 2, n=4: composition #2 is (-1, 3), want (1, 3)"),
+    # (4, 4) occurs only at n = 8, the last list the check grows
+    (checks.generation, 8, checks, "ALGORITHMS", _stream(_replace((4, 4), (4, 300))),
+     "alg 2, n=8: composition #20 is (4, 300), want (4, 4)"),
     (checks.generation, 8, checks, "ALGORITHMS", _stream(lambda s: s + s[-1:]),
      "alg 2, n=1: composition #1 is (1,), want None"),
     (checks.generation, 8, checks, "ALGORITHMS", _stream(lambda s: s, extra=1), "alg 2"),
@@ -78,9 +81,10 @@ def _series_entry(t, k):
      "binary tree"),
     (checks.inequalities, 100, None, "check_inequalities",
      _result(lambda r: replace(r, dominance_violations=[7])), "[7]"),
-], ids=["worked", "missing", "swapped", "part-300", "part-negative", "extra", "miscounted",
-        "closed-form", "closed-form-series", "pentagonal", "pentagonal-above-crossover", "product",
-        "op-counts", "op-counts-visits", "tree", "inequality"])
+], ids=["worked", "missing", "swapped", "part-300", "part-negative", "last-step", "extra",
+        "miscounted", "closed-form", "closed-form-series", "pentagonal",
+        "pentagonal-above-crossover", "product", "op-counts", "op-counts-visits", "tree",
+        "inequality"])
 def test_check_fails_on_defect(monkeypatch, check, n_max, target, name, defect, names):
     ctx = CountContext()
     assert check(ctx, n_max).ok

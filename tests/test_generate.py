@@ -131,6 +131,62 @@ def test_profile_refuses_what_it_cannot_weigh(gen, statement):
         _profile(gen)
 
 
+def _steps_once(n, consumer):
+    v = w = 0
+    while v < n:
+        w += v
+        consumer([w], 0)
+        v += 1
+
+
+def _steps_twice(n, consumer):
+    v = 0
+    while v < n:
+        v += 1
+        v += 1
+
+
+def _steps_and_doubles(n, consumer):
+    v = 0
+    while v < n:
+        v += 1
+        v = 2 * v
+
+
+def _steps_by_two(n, consumer):
+    v = 0
+    while v < n:
+        v += 2
+
+
+def _steps_in_an_if(n, consumer):
+    v = 0
+    while v < n:
+        v += 1
+        if v == 3:
+            v += 4
+
+
+def _steps_in_the_test(n, consumer):
+    v = 0
+    while (v := v + 1) < n:
+        v += 1
+
+
+@pytest.mark.parametrize("gen, runs", [
+    (_steps_once, (1, 10)),  # the one loop whose passes are read off v
+    (_steps_twice, (1, 5)),  # v: 2, 4, ..., 10
+    (_steps_and_doubles, (1, 3)),  # v: 2, 6, 14
+    (_steps_by_two, (1, 5)),
+    (_steps_in_an_if, (1, 6, 1)),  # v: 1, 2, 7, 8, 9, 10, the if once
+    (_steps_in_the_test, (1, 5)),  # v: 2, 4, ..., 10, then 11 in the test
+], ids=["once", "twice", "and-doubles", "by-two", "in-an-if", "in-the-test"])
+def test_profile_counts_each_pass(gen, runs):
+    # a loop's passes are read off v only when each pass adds exactly one to
+    # it; every other loop counts its passes one by one
+    assert _profile(gen)[0](10, None) == runs
+
+
 def test_algorithm_table():
     assert sorted(ALGORITHMS) == [1, 2, 3]
     assert ALGORITHMS[2] is gen_v2

@@ -64,6 +64,16 @@ def test_encoded_is_the_tuple_list_as_bytes():
             assert [tuple(c) for c in encoded] == brute_compositions(n, m), (n, m)
 
 
+def test_each_list_grows_from_the_one_before():
+    # the first branch: a 1 in front of each composition of n - 1, then the
+    # parts >= 2; checks.generation grows its one list this way
+    prev = [b""]  # the empty composition of 0
+    for n in range(1, 46):
+        grown = [b"\x01" + c for c in prev] + brute_encoded(n, 2)
+        assert brute_encoded(n) == grown, n
+        prev = grown
+
+
 def _live_bytes(build):
     """The bytes that ``build()``'s result holds, as tracemalloc counts them.
 
