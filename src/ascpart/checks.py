@@ -8,6 +8,7 @@ counterexamples in ``detail``.  `battery` runs the six at the ranges of
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from itertools import zip_longest
 from operator import length_hint
@@ -16,8 +17,12 @@ from .analysis import verify_counts
 from .counting import _fill_column
 from .errors import require_at_least, require_within
 from .generate import ALGORITHMS, COUNTED, VISIT_CAP
-from .oracle import brute_encoded
+from .oracle import brute_stream
 from .ptree import build_partition_tree, build_strict_tree
+
+
+# Each byte one more: the lengths of the compositions of n - 1 once a 1 is put in front.
+_ONE_MORE = bytes.maketrans(bytes(range(255)), bytes(range(1, 256)))
 
 
 @dataclass(frozen=True)
@@ -44,52 +49,72 @@ def worked_examples(ctx, n_max):
                    [f"{name}={got}, want {want}" for got, want, name in examples if got != want])
 
 
-def _oracle_divergence(n, ctx, expected):
-    """Where the first generator to differ from ``expected``, the oracle at n, does, or None.
+def _oracle_divergence(n, ctx, stream, lengths):
+    """Where the first generator to differ from the oracle at n does, or None.
 
-    Each item is compared as a list of ints, which no part a faulty
-    generator writes can make raise.
+    ``stream`` and ``lengths`` are ``brute_stream(n)``: each composition as a
+    0 byte then its parts, and each one's number of parts.  Each consumer
+    call must bring the next length, and ``a[:length + 1]``, the generator's
+    0 sentinel then its parts, must be the next length + 1 bytes of the
+    stream, compared as lists of ints, which no part a faulty generator
+    writes can make raise.  The length check keeps each call to exactly one
+    composition: without it, an item holding a 0 part could pass as two
+    compositions joined into one.  The stream is read through
+    ``io.BytesIO``, which shares the ``bytes`` buffer instead of copying it,
+    so the oracle is held once, and a composition is rebuilt as a tuple only
+    for a failure's detail.
     """
-    if len(expected) != ctx.partition_count(n):
-        return f"oracle at n={n}: {len(expected)} compositions, p(n) = {ctx.partition_count(n)}"
+    total = len(lengths)
+    if total != ctx.partition_count(n):
+        return f"oracle at n={n}: {total} compositions, p(n) = {ctx.partition_count(n)}"
     for alg, gen in sorted(ALGORITHMS.items()):
-        it = iter(expected)
+        read = io.BytesIO(stream).read
+        sizes = iter(lengths)
         first_bad = []
 
         def consumer(a, length):
-            want = next(it, None)  # None once the oracle is exhausted
-            if (want is None or a[1:length + 1] != [*want]) and not first_bad:
-                index = len(expected) - length_hint(it) - (want is not None)
+            want = next(sizes, None)  # None once the oracle is exhausted
+            if (length != want or a[:length + 1] != [*read(length + 1)]) and not first_bad:
+                index = total - length_hint(sizes) - (want is not None)
+                start = index + sum(lengths[:index]) + 1
                 first_bad.append(f"alg {alg}, n={n}: composition #{index} is "
-                                 f"{tuple(a[1:length + 1])}, want {want and tuple(want)}")
+                                 f"{tuple(a[1:length + 1])}, want "
+                                 f"{want and tuple(stream[start:start + want])}")
 
         count = gen(n, consumer)
         if first_bad:
             return first_bad[0]
-        emitted = len(expected) - length_hint(it)
-        if emitted != len(expected) or count != len(expected):
+        emitted = total - length_hint(sizes)
+        if emitted != total or count != total:
             return (f"alg {alg}, n={n}: {emitted} compositions emitted, "
-                    f"{count} returned, expected {len(expected)}")
+                    f"{count} returned, expected {total}")
     return None
 
 
 def generation(ctx, n_max):
-    """Every generator's stream is the oracle's list, in order, with its count.
+    """Every generator's stream is the oracle's, in order, with its count.
 
-    One list, grown in place from n - 1 to n, is the oracle's at each n, so
-    the list for n = 45, 4.7 MiB live as ``bytes``, is still what sets the
-    battery's peak memory.
+    One oracle stream and its lengths, as `oracle.brute_stream` writes them,
+    are grown from n - 1 to n, each by ``bytes`` calls in C with no Python
+    loop over the compositions.  They set the peak at n = 45, where the
+    stream for n = 44 with the parts >= 2 appended, 1.15 MB, and the stream
+    for n = 45, 1.23 MB, are held together for a moment: 2.48 MB as
+    tracemalloc counts the whole check.
     """
     name = f"generation vs brute force (n <= {n_max})"
-    expected = [b""]  # the empty composition of 0
+    stream = lengths = b"\x00"  # the empty composition of 0
     for n in range(1, n_max + 1):
-        # brute_encoded(n) is the oracle's own first branch: brute_encoded(n - 1)
-        # with a 1 in front of each item, then the parts >= 2.  Each item is
-        # replaced in place, so the list is never held twice.
-        for i, composition in enumerate(expected):
-            expected[i] = b"\x01" + composition
-        expected += brute_encoded(n, 2)
-        detail = _oracle_divergence(n, ctx, expected)
+        # brute_stream(n) is the oracle's own first branch, brute_stream(n - 1)
+        # with a 1 after each separator and each length one more, then the
+        # parts >= 2.  The tail goes on first, and only the first p(n - 1)
+        # separators get a 1, so that neither the old stream nor the tail is
+        # held beside the new one.
+        tail, tail_lengths = brute_stream(n, 2)
+        stream += tail
+        del tail
+        stream = stream.replace(b"\x00", b"\x00\x01", len(lengths))
+        lengths = lengths.translate(_ONE_MORE) + tail_lengths
+        detail = _oracle_divergence(n, ctx, stream, lengths)
         if detail:
             return CheckResult(name, False, detail)
     return CheckResult(name, True)

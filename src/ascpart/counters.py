@@ -3,18 +3,18 @@ checks and the ratio scan.
 
 Each record is imported by the function that builds it, inside its body, so
 a command that builds none of them never loads `dataclasses` (nor the
-`inspect` it pulls in): `OpCounters` by the counted generators,
-`InequalityReport` by `CountContext.check_inequalities`, `CountCheck` by
-`analysis.verify_counts`, and `RatioRecord` and `RatioScan` by
-`analysis.ratio_table`.  Only `traversal`, which defines a record of its
+`inspect` it pulls in): `OpCounters` by `blockprofile.tally`, for the
+counted generators, `InequalityReport` by `CountContext.check_inequalities`,
+`CountCheck` by `analysis.verify_counts`, and `RatioRecord` and `RatioScan`
+by `analysis.ratio_table`.  Only `traversal`, which defines a record of its
 own, imports `OpCounters` when it loads.
 
 The counting convention of `OpCounters`, used consistently by `traversal` and
 `generate`: each executed assignment line counts once (a line assigning a pair
 like ``(x, y) <- ...`` is still one line), every evaluation of a while/if
 condition counts once, and ``visits`` counts visited nodes / emitted
-compositions rather than visit statements.  `generate._profile` is the one
-place that states which statements of a generator it excludes: the
+compositions rather than visit statements.  `blockprofile.profile` is the
+one place that states which statements of a generator it excludes: the
 emitted-count bookkeeping and the buffer allocation.
 """
 

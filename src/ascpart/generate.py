@@ -26,14 +26,16 @@ the same key to its counted variant: `gen_v2_counted` / `gen_v3_counted` take
 only n, emit nothing and return `gen_v2`'s / `gen_v3`'s exact operation
 tallies at n, which `analysis` predicts from p(n), d(n) and r(n).  They read
 them off a block profile of the plain loop (Knuth & Stevenson, BIT 1973), so
-each loop has one copy: `_profile` compiles a copy of the generator without
-its visits and its ``count`` bookkeeping, with a counter per block, and
-weighs each block by one rule; a tally is each block's runs times its
-weights.  A counter sits at the head of its block, except that a loop whose
-every pass adds one to a variable v, and writes v nowhere else, has its
-passes read off v's change, as the plain loops read their emitted count:
-the descent and ``x <= y`` loops and `gen_v3`'s ``p <= q`` loop cost the
-profile a few additions per outer pass and none per inner pass.  Each
+each loop has one copy: `blockprofile.profile` compiles a copy of the
+generator without its visits and its ``count`` bookkeeping, with a counter
+per block, and weighs each block by one rule; a tally is each block's runs
+times its weights.  A counter sits at the head of its block, except that a
+loop whose every pass adds one to a variable v, and writes v nowhere else,
+has its passes read off v's change, as the plain loops read their emitted
+count: the ``x <= y`` loops and `gen_v3`'s ``p <= q`` loop cost the profile
+two additions per outer pass and none per inner pass, and the descent
+loops, whose k drops by one once per outer pass and changes nowhere else,
+are read off k's conservation at the end and cost nothing per pass.  Each
 block's runs are a partition class, which is why the formulas hold.  With
 p = p(n), d = `p2_closed(n)` and r = `p3_closed(n)`:
 
@@ -55,13 +57,11 @@ undistorted.
 
 from __future__ import annotations
 
-from functools import cache
-
 from .errors import require_at_least, require_one_of, require_within
 
-# The counted variants import OpCounters, named in their annotations, and
-# the profile its ast and inspect, when called, as every record in `counters`
-# is imported by the function that builds it: the plain generators load none.
+# The counted variants import `blockprofile` when called, which loads ast and
+# inspect, and its `tally` imports OpCounters, named in their annotations:
+# the plain generators load none of them.
 
 # Collector guard: materializing all compositions is for tests and small
 # demos only (p(45) = 89134 already).
@@ -205,129 +205,20 @@ def gen_v3(n: int, consumer) -> int:
     return count
 
 
-@cache
-def _profile(gen):
-    """`gen`'s block profile: (run, weights), built once per generator.
-
-    ``run(n, consumer)`` is a compiled copy of `gen` without its
-    ``consumer(...)`` calls and its assignments to ``count`` (the
-    emitted-count bookkeeping, never returned) that returns how often each
-    block ran: the function body, then each loop body and ``if``/``else``
-    branch in source order.  ``weights`` holds each block's (assignments,
-    bool_evals, visits), read off the source by the convention of `counters`:
-
-    * an assignment statement counts once, except one to ``count`` and the
-      buffer allocation ``a = [0] * ...``;
-    * a ``while`` test counts once in the block that holds it and once more
-      per pass of its body, and an ``if`` test once;
-    * a ``consumer(...)`` call is a visit, and any other expression statement
-      (the docstring, the guard) and the final ``return`` count nothing.
-
-    Each block's counter is a local that the copy adds one to at the block's
-    head, except for a unit-step loop, whose passes are read off its loop
-    variable, as Knuth & Stevenson place no counter where a count follows
-    from what is known: a ``while`` whose test writes nothing (no ``:=``)
-    and whose body, visits aside, is assignments alone that write some name
-    v once, as ``v += 1``, runs as often as v grows.  Its counter takes v
-    off before the loop and adds v back after it, two operations per entry
-    instead of one per pass.  Any other loop, ``v += 2`` or a second write
-    to v included, keeps its head counter.
-
-    Any other statement raises ValueError: a profile that cannot weigh a
-    statement returns no count.
-    """
-    import ast
-    import inspect
-
-    func = ast.parse(inspect.getsource(gen)).body[0]
-    ast.increment_lineno(func, gen.__code__.co_firstlineno - 1)
-    if isinstance(func.body[-1], ast.Return):
-        func.body.pop()
-    weights = []
-
-    def is_visit(stmt):
-        return isinstance(stmt, ast.Expr) and ast.unparse(stmt.value).startswith("consumer(")
-
-    def unit_step(loop):
-        """The name v that `loop`'s body writes only as ``v += 1``, if its passes are v's change.
-
-        That needs a body of assignments and visits alone, and a test that
-        writes nothing; otherwise None.
-        """
-        body = [stmt for stmt in loop.body if not is_visit(stmt)]
-        if (any(isinstance(node, ast.NamedExpr) for node in ast.walk(loop.test))
-                or not all(isinstance(stmt, (ast.Assign, ast.AugAssign)) for stmt in body)):
-            return None
-        writes = [node.id for stmt in body for node in ast.walk(stmt)
-                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)]
-        sources = [ast.unparse(stmt) for stmt in body]
-        return next((v for v in writes if writes.count(v) == 1 and f"{v} += 1" in sources), None)
-
-    def block(body, evals, head=True):
-        """Weigh `body` and return it without the visits, headed by its counter if `head`."""
-        weight = [0, evals, 0]
-        kept = ast.parse(f"_block{len(weights)} += 1").body if head else []
-        weights.append(weight)
-        for stmt in body:
-            if isinstance(stmt, (ast.Assign, ast.AugAssign)):
-                source = ast.unparse(stmt)
-                if source.startswith("count "):
-                    continue
-                weight[0] += not source.startswith("a = [0] *")
-            elif isinstance(stmt, ast.While) and not stmt.orelse:
-                weight[1] += 1
-                counter, step = f"_block{len(weights)}", unit_step(stmt)
-                stmt.body = block(stmt.body, 1, head=not step)
-                if step:
-                    kept += [*ast.parse(f"{counter} -= {step}").body, stmt,
-                             *ast.parse(f"{counter} += {step}").body]
-                    continue
-            elif isinstance(stmt, ast.If):
-                weight[1] += 1
-                stmt.body = block(stmt.body, 0)
-                if stmt.orelse:
-                    stmt.orelse = block(stmt.orelse, 0)
-            elif isinstance(stmt, ast.Expr):
-                if is_visit(stmt):
-                    weight[2] += 1
-                    continue
-            else:
-                raise ValueError(f"cannot weigh {gen.__name__}'s {type(stmt).__name__} statement"
-                                 f" at line {stmt.lineno}: {ast.unparse(stmt).splitlines()[0]}")
-            kept.append(stmt)
-        return kept
-
-    body = block(func.body, 0)
-    counters = [f"_block{i}" for i in range(len(weights))]
-    func.body = [*ast.parse(" = ".join([*counters, "0"])).body, *body,
-                 *ast.parse(f"return {', '.join(counters)},").body]
-    namespace = {}
-    exec(compile(ast.fix_missing_locations(ast.Module([func], [])), gen.__code__.co_filename,
-                 "exec"), gen.__globals__, namespace)
-    return namespace[func.name], tuple(map(tuple, weights))
-
-
-def _tally(gen, n):
-    """`gen`'s `OpCounters` at n: each block's runs times its weights."""
-    from .counters import OpCounters
-
-    run, weights = _profile(gen)
-    runs = run(n, None)
-    assignments, bool_evals, visits = (sum(r * w for r, w in zip(runs, column))
-                                       for column in zip(*weights))
-    return OpCounters(assignments=assignments, bool_evals=bool_evals, visits=visits)
-
-
 def gen_v2_counted(n: int) -> OpCounters:
     """`gen_v2`'s exact operation tallies at n, read off its block profile; requires n >= 2."""
+    from .blockprofile import tally
+
     require_at_least(n, 2)
-    return _tally(gen_v2, n)
+    return tally(gen_v2, n)
 
 
 def gen_v3_counted(n: int) -> OpCounters:
     """`gen_v3`'s exact operation tallies at n, read off its block profile; requires n >= 2."""
+    from .blockprofile import tally
+
     require_at_least(n, 2)
-    return _tally(gen_v3, n)
+    return tally(gen_v3, n)
 
 
 # One key per generator; `analysis._predicted` holds a formula for each COUNTED key.

@@ -19,9 +19,9 @@ The visitor is an optional callback ``visit(x, y)``, called at every
 visit; it defaults to a no-op, for a run that wants the counters alone.
 Counters follow the convention in `counters`, and each loop counts only its
 passes: the `OpCounters` are passes times the lines one pass runs, weighted
-by hand as tabled in each docstring.  `generate`'s block profile reads such
-weights off the source, but its rule has no clause for the pushes and pops,
-which are `append`/`pop` calls here.
+by hand as tabled in each docstring.  The block profile of `blockprofile`
+reads such weights off the source, but its rule has no clause for the
+pushes and pops, which are `append`/`pop` calls here.
 The passes are returned as `TraversalStats.loops`, because the exact
 push/visit/iteration counts are the point of three variants.
 """

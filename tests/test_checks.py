@@ -1,10 +1,13 @@
 """Each check of the verification battery fails on an injected defect."""
 
+import gc
+import tracemalloc
 from dataclasses import replace
 
 import pytest
 
 from ascpart import COUNTED, CapacityError, CountContext, checks
+from ascpart.oracle import brute_stream
 
 
 def _result(change):
@@ -25,9 +28,22 @@ def _stream(edit, extra=0):
     return defect
 
 
-def _replace(old, new):
-    """A stream edit that writes the composition ``new`` where ``old`` was."""
-    return lambda s: [a[:1] + [*new] if a[1:] == [*old] else a for a in s]
+def _replace(old, *new):
+    """A stream edit that sends the compositions ``new``, one call each, where ``old`` was."""
+    return lambda s: [a[:1] + [*c] for a in s for c in (new if a[1:] == [*old] else [a[1:]])]
+
+
+def _merge(first):
+    """A stream edit that sends ``first`` and the composition after it as one call.
+
+    The call's parts are both compositions' parts, joined by a 0 part.
+    """
+    def edit(s):
+        for i, a in enumerate(s[:-1]):
+            if a[1:] == [*first]:
+                return s[:i] + [a + s[i + 1]] + s[i + 2:]  # s[i + 1] starts with the sentinel 0
+        return s
+    return edit
 
 
 def _pentagonal_entry(k):
@@ -62,6 +78,12 @@ def _series_entry(t, k):
      "alg 2, n=8: composition #20 is (4, 300), want (4, 4)"),
     (checks.generation, 8, checks, "ALGORITHMS", _stream(lambda s: s + s[-1:]),
      "alg 2, n=1: composition #1 is (1,), want None"),
+    # each call must be one composition: the two calls' parts with a 0 part
+    # between them are the stream's next bytes, so only the length shows it
+    (checks.generation, 8, checks, "ALGORITHMS", _stream(_merge((1, 3))),
+     "alg 2, n=4: composition #2 is (1, 3, 0, 2, 2), want (1, 3)"),
+    (checks.generation, 8, checks, "ALGORITHMS", _stream(_replace((1, 3), (1,), (3,))),
+     "alg 2, n=4: composition #2 is (1,), want (1, 3)"),
     (checks.generation, 8, checks, "ALGORITHMS", _stream(lambda s: s, extra=1), "alg 2"),
     (checks.cross_paths, 8, None, "p2_closed", _result(lambda v: v + 1), "closed form t=2"),
     (checks.cross_paths, 8, None, "closed_forms", _series_entry(3, 7),
@@ -82,7 +104,7 @@ def _series_entry(t, k):
     (checks.inequalities, 100, None, "check_inequalities",
      _result(lambda r: replace(r, dominance_violations=[7])), "[7]"),
 ], ids=["worked", "missing", "swapped", "part-300", "part-negative", "last-step", "extra",
-        "miscounted", "closed-form", "closed-form-series", "pentagonal",
+        "merged", "split", "miscounted", "closed-form", "closed-form-series", "pentagonal",
         "pentagonal-above-crossover", "product", "op-counts", "op-counts-visits", "tree",
         "inequality"])
 def test_check_fails_on_defect(monkeypatch, check, n_max, target, name, defect, names):
@@ -108,6 +130,24 @@ def test_cached_column_defect_is_blamed_on_the_served_count():
     assert not result.ok
     assert "served count at (12,3,2)" in result.detail
     assert "product path" not in result.detail
+
+
+def test_generation_holds_the_oracle_about_twice():
+    # the peak is the oracle stream for n - 1, the tail appended, beside the
+    # one for n: 1.9 times brute_stream(30)'s bytes, 122 KB, as tracemalloc
+    # counts it, where one bytes object per composition peaked at 4.5 times,
+    # 294 KB
+    ctx = CountContext()
+    ctx.partition_count(30)  # the column is filled before tracing
+    size = sum(map(len, brute_stream(30)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert checks.generation(ctx, 30).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * size
 
 
 @pytest.mark.parametrize("n_max", range(1, 8))

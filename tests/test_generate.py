@@ -12,7 +12,7 @@ from ascpart import (
     gen_v3,
     gen_v3_counted,
 )
-from ascpart.generate import _profile, _tally
+from ascpart.blockprofile import profile, tally
 
 
 def test_four_by_hand():
@@ -96,9 +96,9 @@ def test_blocks_are_partition_classes(ctx):
     # counted tallies are the formulas of `analysis`
     for n in range(2, 41):
         p, d, r = ctx.partition_count(n), ctx.p2_closed(n), ctx.p3_closed(n)
-        body, outer, descent, inner = _profile(gen_v2)[0](n, None)
+        body, outer, descent, inner = profile(gen_v2)[0](n, None)
         assert (body, outer, descent, inner) == (1, d, d - 1, p - d), n
-        body, outer, descent, pairs, shifts, tail = _profile(gen_v3)[0](n, None)
+        body, outer, descent, pairs, shifts, tail = profile(gen_v3)[0](n, None)
         assert (body, outer, descent) == (1, r, r - 1), n
         assert 2 * pairs + shifts + tail == p - r, n
 
@@ -107,7 +107,7 @@ def test_gen_v1_tallies(ctx):
     # profiled here only: COUNTED, and so verify, keeps the two the paper compares
     for n in range(2, 41):
         p, d = ctx.partition_count(n), ctx.p2_closed(n)
-        ops = _tally(gen_v1, n)
+        ops = tally(gen_v1, n)
         assert (ops.assignments, ops.bool_evals, ops.visits) == (7 * p + 4 * d - 3, p + 4 * d, p)
 
 
@@ -128,7 +128,7 @@ def _counts_with_break(n, consumer):
 def test_profile_refuses_what_it_cannot_weigh(gen, statement):
     # a profile that cannot weigh a statement must not return a count
     with pytest.raises(ValueError, match=f"cannot weigh {gen.__name__}'s {statement}$"):
-        _profile(gen)
+        profile(gen)
 
 
 def _steps_once(n, consumer):
@@ -173,6 +173,64 @@ def _steps_in_the_test(n, consumer):
         v += 1
 
 
+def _steps_back(n, consumer):
+    u = v = 0
+    while u < n:
+        u += 2
+        while v < u:
+            v += 1
+        v -= 1
+
+
+def _steps_back_two(n, consumer):
+    u = v = 0
+    while u < n:
+        u += 2
+        while v < u:
+            v += 1
+        v -= 2
+
+
+def _steps_back_twice(n, consumer):
+    u = v = 0
+    while u < n:
+        u += 2
+        while v < u:
+            v += 1
+        v -= 1
+        v -= 1
+
+
+def _steps_back_in_a_loop(n, consumer):
+    u = v = w = 0
+    while u < n:
+        u += 2
+        while v < u:
+            v += 1
+        while w < u:
+            w += 1
+            v -= 1
+        w -= 1
+
+
+def _steps_from_each_pass(n, consumer):
+    u = 0
+    while u < n:
+        u += 2
+        v = 0
+        while v < u:
+            v += 1
+        v -= 1
+
+
+def _steps_a_parameter(n, consumer):
+    while n < 12:
+        n += 1
+    if n:
+        n -= 1
+    n = 0
+
+
 @pytest.mark.parametrize("gen, runs", [
     (_steps_once, (1, 10)),  # the one loop whose passes are read off v
     (_steps_twice, (1, 5)),  # v: 2, 4, ..., 10
@@ -180,11 +238,22 @@ def _steps_in_the_test(n, consumer):
     (_steps_by_two, (1, 5)),
     (_steps_in_an_if, (1, 6, 1)),  # v: 1, 2, 7, 8, 9, 10, the if once
     (_steps_in_the_test, (1, 5)),  # v: 2, 4, ..., 10, then 11 in the test
-], ids=["once", "twice", "and-doubles", "by-two", "in-an-if", "in-the-test"])
+    # read off v at the end: v ends at 9 from 0, less one per outer pass
+    (_steps_back, (1, 5, 14)),  # passes 2, 3, 3, 3, 3
+    (_steps_back_two, (1, 5, 18)),  # passes 2, 4, 4, 4, 4: v is not conserved
+    (_steps_back_twice, (1, 5, 18)),  # the same drop, as two v -= 1
+    # v drops in a loop read off w, so only w is read off at the end
+    (_steps_back_in_a_loop, (1, 5, 21, 14)),  # passes 2, 4, 5, 5, 5 and 2, 3, 3, 3, 3
+    # v is set in a loop, or is a parameter stepped before it is set
+    (_steps_from_each_pass, (1, 5, 30)),  # passes 2, 4, ..., 10
+    (_steps_a_parameter, (1, 2, 1)),  # n: 10, 11, 12
+], ids=["once", "twice", "and-doubles", "by-two", "in-an-if", "in-the-test", "steps-back",
+        "steps-back-two", "steps-back-twice", "steps-back-in-a-loop", "set-in-a-loop", "a-parameter"])
 def test_profile_counts_each_pass(gen, runs):
     # a loop's passes are read off v only when each pass adds exactly one to
-    # it; every other loop counts its passes one by one
-    assert _profile(gen)[0](10, None) == runs
+    # it, at the end if v drops by exactly one once per run of a counted
+    # block; every other loop counts its passes one by one
+    assert profile(gen)[0](10, None) == runs
 
 
 def test_algorithm_table():

@@ -12,8 +12,8 @@ import pytest
 import ascpart
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-SUBMODULES = ("analysis", "bench", "checks", "cli", "counters", "counting", "errors",
-              "generate", "oracle", "ptree", "render", "traversal")
+SUBMODULES = ("analysis", "bench", "blockprofile", "checks", "cli", "counters", "counting",
+              "errors", "generate", "oracle", "ptree", "render", "traversal")
 
 
 def modules_loaded_by(code):
@@ -44,9 +44,10 @@ def test_generate_loads_only_what_it_runs():
 
 
 def test_plain_generators_load_no_profile():
-    # the counted variants' block profile imports ast and inspect when called
+    # the counted variants import the block profile, and its ast and inspect,
+    # when called
     loaded = modules_loaded_by("from ascpart import gen_v3\ngen_v3(5, lambda a, k: None)")
-    assert not loaded & {"ast", "inspect", "dataclasses"}
+    assert not loaded & {"ascpart.blockprofile", "ast", "inspect", "dataclasses"}
 
 
 # count and ratios build no record and print from integer counts, so they load
@@ -59,7 +60,8 @@ COMMANDS = {
     "ratios": (["ratios", "--max-n", "5"], {"analysis", "counting"}, UNUSED_BY_COUNTS),
     # format_ratio works on integer pairs; only r1_exact/r2_exact load Fraction
     "verify": (["verify", "--max-n", "4"],
-               {"analysis", "checks", "counters", "counting", "generate", "oracle", "ptree"},
+               {"analysis", "blockprofile", "checks", "counters", "counting", "generate", "oracle",
+                "ptree"},
                {"fractions", "decimal", "numbers"}),
 }
 

@@ -7,7 +7,7 @@ from itertools import combinations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ascpart.oracle import (brute_compositions, brute_encoded, brute_ratio_count,
+from ascpart.oracle import (brute_compositions, brute_encoded, brute_ratio_count, brute_stream,
                             has_ratio_property)
 
 
@@ -66,12 +66,35 @@ def test_encoded_is_the_tuple_list_as_bytes():
 
 def test_each_list_grows_from_the_one_before():
     # the first branch: a 1 in front of each composition of n - 1, then the
-    # parts >= 2; checks.generation grows its one list this way
+    # parts >= 2
     prev = [b""]  # the empty composition of 0
     for n in range(1, 46):
         grown = [b"\x01" + c for c in prev] + brute_encoded(n, 2)
         assert brute_encoded(n) == grown, n
         prev = grown
+
+
+def test_stream_is_the_encoded_list_with_separators():
+    for n in range(1, 46):
+        for m in (1, 2, 3, 7):
+            encoded = brute_encoded(n, m)
+            stream = b"".join(b"\x00" + c for c in encoded)
+            assert brute_stream(n, m) == (stream, bytes(map(len, encoded))), (n, m)
+
+
+def test_each_stream_grows_from_the_one_before():
+    # the first branch as a stream: a 1 after each separator and each length
+    # one more, then the parts >= 2; checks.generation appends the tail
+    # first and puts a 1 after the first p(n - 1) separators only
+    stream = lengths = b"\x00"  # the empty composition of 0
+    one_more = bytes.maketrans(bytes(range(255)), bytes(range(1, 256)))
+    for n in range(1, 46):
+        tail, tail_lengths = brute_stream(n, 2)
+        want = brute_stream(n)
+        assert stream.replace(b"\x00", b"\x00\x01") + tail == want[0], n
+        stream = (stream + tail).replace(b"\x00", b"\x00\x01", len(lengths))
+        lengths = lengths.translate(one_more) + tail_lengths
+        assert (stream, lengths) == want, n
 
 
 def _live_bytes(build):
