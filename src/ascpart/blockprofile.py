@@ -21,6 +21,18 @@ def _is_visit(stmt):
     return isinstance(stmt, ast.Expr) and ast.unparse(stmt.value).startswith("consumer(")
 
 
+def _reads_count(stmt):
+    """True if `stmt` reads ``count``, in its test alone if it is a ``while`` or ``if``."""
+    own = stmt.test if isinstance(stmt, (ast.While, ast.If)) else stmt
+    return any(isinstance(node, ast.Name) and node.id == "count" and isinstance(node.ctx, ast.Load)
+               for node in ast.walk(own))
+
+
+def _refusal(gen, stmt):
+    return ValueError(f"cannot weigh {gen.__name__}'s {type(stmt).__name__} statement"
+                      f" at line {stmt.lineno}: {ast.unparse(stmt).splitlines()[0]}")
+
+
 def _unit_step(loop):
     """The name v that `loop`'s body writes only as ``v += 1``, if its passes are v's change.
 
@@ -101,8 +113,9 @@ def profile(gen):
 
     Any other loop, ``v += 2`` or a second write to v included, keeps its
     head counter, and a v written any other way, as ``v -= 2``, gets the
-    pair.  Any other statement raises ValueError: a profile that cannot
-    weigh a statement returns no count.
+    pair.  Any other statement raises ValueError, and so does one that reads
+    ``count`` other than the final ``return``, as the copy has no ``count``
+    to read: a profile that cannot weigh a statement returns no count.
     """
     func = ast.parse(inspect.getsource(gen)).body[0]
     ast.increment_lineno(func, gen.__code__.co_firstlineno - 1)
@@ -120,6 +133,8 @@ def profile(gen):
         kept = ast.parse(f"{own} += 1").body if head else []
         weights.append(weight)
         for stmt in body:
+            if _reads_count(stmt):
+                raise _refusal(gen, stmt)
             if isinstance(stmt, (ast.Assign, ast.AugAssign)):
                 source = ast.unparse(stmt)
                 if source.startswith("count "):
@@ -147,8 +162,7 @@ def profile(gen):
                     weight[2] += 1
                     continue
             else:
-                raise ValueError(f"cannot weigh {gen.__name__}'s {type(stmt).__name__} statement"
-                                 f" at line {stmt.lineno}: {ast.unparse(stmt).splitlines()[0]}")
+                raise _refusal(gen, stmt)
             kept.append(stmt)
         return kept
 

@@ -24,19 +24,11 @@ that read defined (the loop then exits).
 `ALGORITHMS` maps each generator's key to its plain loop, and `COUNTED` maps
 the same key to its counted variant: `gen_v2_counted` / `gen_v3_counted` take
 only n, emit nothing and return `gen_v2`'s / `gen_v3`'s exact operation
-tallies at n, which `analysis` predicts from p(n), d(n) and r(n).  They read
-them off a block profile of the plain loop (Knuth & Stevenson, BIT 1973), so
-each loop has one copy: `blockprofile.profile` compiles a copy of the
-generator without its visits and its ``count`` bookkeeping, with a counter
-per block, and weighs each block by one rule; a tally is each block's runs
-times its weights.  A counter sits at the head of its block, except that a
-loop whose every pass adds one to a variable v, and writes v nowhere else,
-has its passes read off v's change, as the plain loops read their emitted
-count: the ``x <= y`` loops and `gen_v3`'s ``p <= q`` loop cost the profile
-two additions per outer pass and none per inner pass, and the descent
-loops, whose k drops by one once per outer pass and changes nowhere else,
-are read off k's conservation at the end and cost nothing per pass.  Each
-block's runs are a partition class, which is why the formulas hold.  With
+tallies at n, which `analysis` predicts from p(n), d(n) and r(n).  They
+read them off a block profile of the plain loop (Knuth & Stevenson, BIT
+1973), so each loop has one copy; `blockprofile` states where the profile
+puts its counters and what each block weighs.  Each block's runs are a
+partition class, which is why the formulas hold.  With
 p = p(n), d = `p2_closed(n)` and r = `p3_closed(n)`:
 
 * `gen_v2`'s outer, descent and ``x <= y`` blocks run d, d - 1 and p - d

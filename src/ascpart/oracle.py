@@ -9,24 +9,18 @@ ascending continuation can fill, so those calls would all be dead ends.
 Otherwise no cleverness on purpose; capacity is guarded because the lists
 grow like p(n).
 
-The one recursion builds each composition from a table of one-part
-sequences and hands it to a callback, so it has three leaf forms.
-`brute_compositions` gives a list of tuples.  `brute_encoded` gives the same
-compositions in the same order as ``bytes``, one byte a part: every part is
-at most ``ORACLE_CAP`` = 60, so a byte holds any of them.  At n = 45 a
-composition takes about 48 bytes as ``bytes`` against 144 as a tuple, and
-the whole list 4.7 MiB live against 12.3 MiB.  `brute_stream` writes them,
-in the same order, into one ``bytes`` stream, each as a 0 byte and then its
-parts, beside one ``bytes`` of their lengths: parts are at least 1, so 0 is
-free to mark where each composition starts, and a length, like a part, is
-at most 60.  At n = 45 the stream takes 1.2 MiB and the lengths 87 KiB,
-with no per-composition object.
+The recursion writes the compositions, in lexicographic order, into one
+``bytes`` stream, each as a 0 byte and then its parts, one byte a part,
+beside one ``bytes`` of their lengths: `brute_stream`.  Every part is at
+most ``ORACLE_CAP`` = 60, so a byte holds any of them, and parts are at
+least 1, so 0 is free to mark where each composition starts; a length, like
+a part, is at most 60.  At n = 45 the stream takes 1.2 MiB and the lengths
+87 KiB, with no per-composition object.  Splitting the stream at its 0
+bytes gives each composition as ``bytes``, which `brute_ratio_count` reads,
+and `brute_compositions` turns each of those into a tuple.
 
 The recursion's first branch, part 1, recurses on n - 1 with minimum 1, and
-the rest are the compositions with parts >= 2, so ``brute_encoded(n)`` is
-``brute_encoded(n - 1)`` with a 1 in front of each item, then
-``brute_encoded(n, 2)``, starting from the empty composition of 0.  As a
-stream, the 1 goes in after every 0: ``brute_stream(n)`` is
+the rest are the compositions with parts >= 2, so ``brute_stream(n)`` is
 ``brute_stream(n - 1)``'s stream with each ``b"\\x00"`` replaced by
 ``b"\\x00\\x01"``, then ``brute_stream(n, 2)``'s, and its lengths are the
 lengths one more, then ``brute_stream(n, 2)``'s, starting from ``b"\\x00"``
@@ -43,68 +37,53 @@ from .errors import require_at_least, require_within
 # largest list the exhaustive cross-check suites ask for.
 ORACLE_CAP = 60
 
-# The one-part sequence of each part 0..ORACLE_CAP, in each leaf type.
-_TUPLES = tuple((part,) for part in range(ORACLE_CAP + 1))
+# The one-byte part 0..ORACLE_CAP.
 _BYTES = tuple(bytes((part,)) for part in range(ORACLE_CAP + 1))
 
 
-def _extend(emit, parts, remaining, lo, single):
-    """Emit ``parts + c`` for each ascending composition c of ``remaining``.
+def _extend(stream, lengths, parts, remaining, lo):
+    """Write ``parts + c`` for each ascending composition c of ``remaining``.
 
-    The parts of c are >= ``lo``, which must be <= ``remaining``; the c come
-    in lexicographic order, each built from the one-part sequences ``single``.
+    ``parts`` is the 0 separator and then the parts fixed so far.  The parts
+    of c are >= ``lo``, which must be <= ``remaining``; the c come in
+    lexicographic order.
     """
     for part in range(lo, remaining // 2 + 1):
-        _extend(emit, parts + single[part], remaining - part, part, single)
-    emit(parts + single[remaining])
+        _extend(stream, lengths, parts + _BYTES[part], remaining - part, part)
+    stream += parts
+    stream.append(remaining)
+    lengths.append(len(parts))
 
 
-def _brute(n, m, single, emit, start):
-    """Emit ``start + c`` for each ascending composition c of n with parts >= m."""
+def brute_stream(n: int, m: int = 1) -> tuple[bytes, bytes]:
+    """The ascending compositions of n with parts >= m, in lexicographic order.
+
+    Returns (stream, lengths).  The stream holds each composition as a 0
+    byte and then its parts, one byte a part, and ``lengths`` holds each
+    one's number of parts, one byte a composition.  Both are written
+    straight into a ``bytearray``.
+    """
     require_at_least(m, 1, "minimum part")
     require_at_least(n, 1)
     require_within(n, ORACLE_CAP, "brute-force")
+    stream, lengths = bytearray(), bytearray()
     if n >= m:
-        _extend(emit, start, n, m, single)
+        _extend(stream, lengths, _BYTES[0], n, m)
+    return bytes(stream), bytes(lengths)
 
 
 def brute_compositions(n: int, m: int = 1) -> list[tuple[int, ...]]:
     """All ascending compositions of n with parts >= m, in lexicographic order."""
-    out = []
-    _brute(n, m, _TUPLES, out.append, ())
-    return out
-
-
-def brute_encoded(n: int, m: int = 1) -> list[bytes]:
-    """`brute_compositions(n, m)` in the same order, each as ``bytes``, one byte a part."""
-    out = []
-    _brute(n, m, _BYTES, out.append, b"")
-    return out
-
-
-def brute_stream(n: int, m: int = 1) -> tuple[bytes, bytes]:
-    """`brute_compositions(n, m)` in the same order as (stream, lengths).
-
-    The stream holds each composition as a 0 byte and then its parts, one
-    byte a part, and ``lengths`` holds each one's number of parts, one byte a
-    composition.  Both are written straight into a ``bytearray``.
-    """
-    stream, lengths = bytearray(), bytearray()
-
-    def emit(composition):  # the 0 separator, then the parts
-        stream.extend(composition)
-        lengths.append(len(composition) - 1)
-
-    _brute(n, m, _BYTES, emit, _BYTES[0])
-    return bytes(stream), bytes(lengths)
+    return list(map(tuple, brute_stream(n, m)[0].split(b"\x00")[1:]))
 
 
 def has_ratio_property(parts, t: int) -> bool:
     """True if the largest part is >= t times the second largest.
 
-    ``parts`` is an ascending composition, as a tuple or the oracle's bytes,
-    so the largest part is last.  Compositions with fewer than two parts, the
-    empty one of 0 included, qualify unconditionally.
+    ``parts`` is an ascending composition, as a tuple or as ``bytes``, one
+    of `brute_stream`'s items, so the largest part is last.  Compositions
+    with fewer than two parts, the empty one of 0 included, qualify
+    unconditionally.
     """
     return len(parts) < 2 or parts[-1] >= t * parts[-2]
 
@@ -112,4 +91,5 @@ def has_ratio_property(parts, t: int) -> bool:
 def brute_ratio_count(n: int, m: int, t: int) -> int:
     """Count of brute_compositions(n, m) entries with the ratio property."""
     require_at_least(t, 1, "ratio factor")
-    return sum(1 for c in brute_encoded(n, m) if has_ratio_property(c, t))
+    items = brute_stream(n, m)[0].split(b"\x00")[1:]
+    return sum(1 for c in items if has_ratio_property(c, t))

@@ -29,7 +29,7 @@ from ascpart import (
 )
 from ascpart import checks
 from ascpart.counting import _fill_column
-from ascpart.oracle import brute_compositions, has_ratio_property
+from ascpart.oracle import brute_compositions, brute_stream, has_ratio_property
 
 from test_analysis import REFERENCE_RATIOS
 
@@ -66,7 +66,7 @@ def test_criterion_03_counting_paths_agree(ctx):
     _passes(checks.cross_paths, ctx, 60)
     for n in range(1, 61):
         for m in range(1, n + 1):
-            comps = brute_compositions(n, m)
+            comps = brute_stream(n, m)[0].split(b"\x00")[1:]  # each as bytes
             for t in (1, 2, 3, 4):
                 want = sum(1 for c in comps if has_ratio_property(c, t))
                 assert ctx.ratio_restricted_count(n, m, t) == want, (n, m, t)

@@ -121,10 +121,27 @@ def _counts_with_break(n, consumer):
         break
 
 
+def _steps_count(n, consumer):
+    count = 0
+    while count < n:
+        count += 1
+
+
+def _steps_count_and_another(n, consumer):
+    count = 0
+    y = 0
+    while count < n:
+        count += 1
+        y += 1
+
+
 @pytest.mark.parametrize("gen, statement", [
     (_counts_with_for, r"For statement at line \d+: for x in range\(n\):"),
     (_counts_with_break, r"Break statement at line \d+: break"),
-], ids=["for", "break"])
+    # the copy drops every assignment to count, so no loop may read it
+    (_steps_count, r"While statement at line \d+: while count < n:"),
+    (_steps_count_and_another, r"While statement at line \d+: while count < n:"),
+], ids=["for", "break", "steps-count", "steps-count-and-another"])
 def test_profile_refuses_what_it_cannot_weigh(gen, statement):
     # a profile that cannot weigh a statement must not return a count
     with pytest.raises(ValueError, match=f"cannot weigh {gen.__name__}'s {statement}$"):

@@ -24,7 +24,7 @@ from ascpart import (
 from ascpart.analysis import budget_violations, r1_exact, r2_exact, ratio_table, verify_counts
 from ascpart.bench import bench_table, time_algorithm
 from ascpart.checks import battery
-from ascpart.oracle import brute_compositions, brute_encoded, brute_ratio_count
+from ascpart.oracle import brute_compositions, brute_ratio_count, brute_stream
 from ascpart.render import render_v3
 from ascpart.traversal import inorder_generic, inorder_v1, inorder_v2
 
@@ -75,10 +75,10 @@ GUARDS = [
      "minimum part must be >= 1, got 0"),
     ("brute-cap", lambda: brute_compositions(61), CapacityError,
      "n=61 exceeds the brute-force cap 60"),
-    ("brute_encoded-n", lambda: brute_encoded(0), DomainError, "n must be >= 1, got 0"),
-    ("brute_encoded-m", lambda: brute_encoded(5, 0), DomainError,
+    ("brute_stream-n", lambda: brute_stream(0), DomainError, "n must be >= 1, got 0"),
+    ("brute_stream-m", lambda: brute_stream(5, 0), DomainError,
      "minimum part must be >= 1, got 0"),
-    ("brute_encoded-cap", lambda: brute_encoded(61), CapacityError,
+    ("brute_stream-cap", lambda: brute_stream(61), CapacityError,
      "n=61 exceeds the brute-force cap 60"),
     ("brute_ratio-t", lambda: brute_ratio_count(5, 1, 0), DomainError,
      "ratio factor must be >= 1, got 0"),

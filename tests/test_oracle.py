@@ -1,14 +1,12 @@
 """Brute-force reference: hand-checked lists, completeness and basic shape properties."""
 
 import gc
-import tracemalloc
 from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ascpart.oracle import (brute_compositions, brute_encoded, brute_ratio_count, brute_stream,
-                            has_ratio_property)
+from ascpart.oracle import brute_compositions, brute_ratio_count, brute_stream, has_ratio_property
 
 
 def test_compositions_of_four():
@@ -56,30 +54,11 @@ def test_complete_against_cut_points():
             assert brute_compositions(n, m) == [c for c in ascending if c[0] >= m], (n, m)
 
 
-def test_encoded_is_the_tuple_list_as_bytes():
-    for n in range(1, 31):
-        for m in range(1, n + 1):
-            encoded = brute_encoded(n, m)
-            assert all(type(c) is bytes for c in encoded), (n, m)
-            assert [tuple(c) for c in encoded] == brute_compositions(n, m), (n, m)
-
-
-def test_each_list_grows_from_the_one_before():
-    # the first branch: a 1 in front of each composition of n - 1, then the
-    # parts >= 2
-    prev = [b""]  # the empty composition of 0
-    for n in range(1, 46):
-        grown = [b"\x01" + c for c in prev] + brute_encoded(n, 2)
-        assert brute_encoded(n) == grown, n
-        prev = grown
-
-
-def test_stream_is_the_encoded_list_with_separators():
+def test_lengths_are_the_stream_items_lengths():
     for n in range(1, 46):
         for m in (1, 2, 3, 7):
-            encoded = brute_encoded(n, m)
-            stream = b"".join(b"\x00" + c for c in encoded)
-            assert brute_stream(n, m) == (stream, bytes(map(len, encoded))), (n, m)
+            stream, lengths = brute_stream(n, m)
+            assert lengths == bytes(map(len, stream.split(b"\x00")[1:])), (n, m)
 
 
 def test_each_stream_grows_from_the_one_before():
@@ -95,26 +74,6 @@ def test_each_stream_grows_from_the_one_before():
         stream = (stream + tail).replace(b"\x00", b"\x00\x01", len(lengths))
         lengths = lengths.translate(one_more) + tail_lengths
         assert (stream, lengths) == want, n
-
-
-def _live_bytes(build):
-    """The bytes that ``build()``'s result holds, as tracemalloc counts them.
-
-    A full collection first empties the tuple free list, whose tuples were
-    allocated before tracing and so would be reused uncounted.
-    """
-    gc.collect()
-    tracemalloc.start()
-    try:
-        result = build()  # alive while its size is read
-        return tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-
-
-def test_encoded_list_is_under_half_the_tuple_list():
-    # about 0.27 MiB against 0.67 MiB at n = 30; bytes counted, not time
-    assert 2 * _live_bytes(lambda: brute_encoded(30)) < _live_bytes(lambda: brute_compositions(30))
 
 
 def test_returned_list_is_freed_without_the_cycle_collector():
