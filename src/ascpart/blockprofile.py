@@ -81,14 +81,15 @@ def profile(gen):
     """`gen`'s block profile: (run, weights), built once per generator.
 
     ``run(n, consumer)`` is a compiled copy of `gen` without its
-    ``consumer(...)`` calls and its assignments to ``count`` (the
+    ``consumer(...)`` calls and its assignments to ``count`` alone (the
     emitted-count bookkeeping, never returned) that returns how often each
     block ran: the function body, then each loop body and ``if``/``else``
     branch in source order.  ``weights`` holds each block's (assignments,
     bool_evals, visits), read off the source by the convention of `counters`:
 
-    * an assignment statement counts once, except one to ``count`` and the
-      buffer allocation ``a = [0] * ...``;
+    * an assignment statement counts once, except one whose only target is
+      ``count``, which the copy drops, and the buffer allocation
+      ``a = [0] * ...``;
     * a ``while`` test counts once in the block that holds it and once more
       per pass of its body, and an ``if`` test once;
     * a ``consumer(...)`` call is a visit, and any other expression statement
@@ -114,8 +115,8 @@ def profile(gen):
     Any other loop, ``v += 2`` or a second write to v included, keeps its
     head counter, and a v written any other way, as ``v -= 2``, gets the
     pair.  Any other statement raises ValueError, and so does one that reads
-    ``count`` other than the final ``return``, as the copy has no ``count``
-    to read: a profile that cannot weigh a statement returns no count.
+    ``count`` other than the final ``return``, as the copy drops ``count``'s
+    own assignments: a profile that cannot weigh a statement returns no count.
     """
     func = ast.parse(inspect.getsource(gen)).body[0]
     ast.increment_lineno(func, gen.__code__.co_firstlineno - 1)
@@ -137,7 +138,7 @@ def profile(gen):
                 raise _refusal(gen, stmt)
             if isinstance(stmt, (ast.Assign, ast.AugAssign)):
                 source = ast.unparse(stmt)
-                if source.startswith("count "):
+                if source.startswith("count ") and len(getattr(stmt, "targets", ())) < 2:
                     continue
                 weight[0] += not source.startswith("a = [0] *")
                 if stmt in drops:

@@ -68,15 +68,6 @@ def test_buffer_is_reused():
     assert len(seen) == 1
 
 
-def test_counted_worked_values():
-    c2 = gen_v2_counted(20)
-    assert c2.assignments == 4 * 627 + 4 * 242 == 3476
-    assert c2.bool_evals == 627 + 3 * 242 == 1353
-    c3 = gen_v3_counted(20)
-    assert c3.assignments == 4 * 627 + 5 * 121 == 3113
-    assert c3.bool_evals == 627 + 4 * 121 == 1111
-
-
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 10, 30, 45])
 def test_counted_formulas(ctx, n):
     p = ctx.partition_count(n)
@@ -248,6 +239,12 @@ def _steps_a_parameter(n, consumer):
     n = 0
 
 
+def _steps_after_a_chained_count(n, consumer):
+    count = y = 0
+    while y < n:
+        y += 1
+
+
 @pytest.mark.parametrize("gen, runs", [
     (_steps_once, (1, 10)),  # the one loop whose passes are read off v
     (_steps_twice, (1, 5)),  # v: 2, 4, ..., 10
@@ -264,13 +261,21 @@ def _steps_a_parameter(n, consumer):
     # v is set in a loop, or is a parameter stepped before it is set
     (_steps_from_each_pass, (1, 5, 30)),  # passes 2, 4, ..., 10
     (_steps_a_parameter, (1, 2, 1)),  # n: 10, 11, 12
+    # the copy keeps an assignment to count that also sets y
+    (_steps_after_a_chained_count, (1, 10)),
 ], ids=["once", "twice", "and-doubles", "by-two", "in-an-if", "in-the-test", "steps-back",
-        "steps-back-two", "steps-back-twice", "steps-back-in-a-loop", "set-in-a-loop", "a-parameter"])
+        "steps-back-two", "steps-back-twice", "steps-back-in-a-loop", "set-in-a-loop", "a-parameter",
+        "after-a-chained-count"])
 def test_profile_counts_each_pass(gen, runs):
     # a loop's passes are read off v only when each pass adds exactly one to
     # it, at the end if v drops by exactly one once per run of a counted
     # block; every other loop counts its passes one by one
     assert profile(gen)[0](10, None) == runs
+
+
+def test_profile_weighs_a_chained_count_assignment_once():
+    # count = y = 0 is one assignment statement, y's, beside the while test
+    assert profile(_steps_after_a_chained_count)[1][0] == (1, 1, 0)
 
 
 def test_algorithm_table():

@@ -77,15 +77,6 @@ def test_trivial_trees():
     assert one.node_count == 2 and one.leaf_count == 1
 
 
-@pytest.mark.parametrize("n", range(1, 26))
-def test_node_and_leaf_counts(ctx, n):
-    p = ctx.partition_count(n)
-    pt = build_partition_tree(n)
-    bt = build_strict_tree(n)
-    assert (pt.node_count, pt.leaf_count) == (2 * p, p)
-    assert (bt.node_count, bt.leaf_count) == (2 * p - 1, p)
-
-
 def test_decode_path_examples():
     assert decode_path([(1, 5), (1, 4), (1, 3), (2, 2), (2, 0)]) == (1, 1, 2, 2)
     assert decode_path([(1, 5), (2, 4), (3, 3), (6, 0)]) == (6,)
@@ -105,15 +96,6 @@ def test_decode_path_rejects_non_paths():
         decode_path([(1, 5), (2, 0)])
     with pytest.raises(DomainError):
         decode_path([(1, 0), (1, 0)])  # leaf in the interior
-
-
-def test_decoded_paths_are_exactly_the_compositions(ctx):
-    for n in range(1, 21):
-        tree = build_strict_tree(n)
-        decoded = [decode_path(path) for path in iter_root_to_leaf_paths(tree)]
-        assert len(decoded) == ctx.partition_count(n)
-        assert sorted(decoded) == brute_compositions(n)
-        assert len(set(decoded)) == len(decoded)
 
 
 def test_paths_are_freed_without_the_cycle_collector():

@@ -53,13 +53,6 @@ def test_pair_loop_matches_shifted_closed_form(ctx):
         assert s2.loops["pairs"] == ctx.p2_closed(n - 3)
 
 
-def test_six_exact_counts(ctx):
-    # double-ratio(6) = 11 - 5 = 6, triple-ratio(6) = 11 - 5 - 3 + 1 = 4
-    assert inorder_v1(6).ops.pushes == 5
-    assert inorder_v2(6).ops.pushes == 3
-    assert inorder_generic(6).ops.pushes == 10
-
-
 def test_trivial_run():
     seq, stats = _sequence(lambda v: inorder_v1(1, v))
     assert seq == [(1, 0)]
