@@ -12,22 +12,20 @@ where d(n) / r(n) are the t = 2 / t = 3 ratio counts from `counting`.
 alg)` runs ``COUNTED[alg]`` at n and compares its tallies with them, and its
 visits with p(n).
 
-The relative cost of gen_v3 versus gen_v2 is summarized by two exact
-rationals,
+The relative cost of gen_v3 versus gen_v2 is summarized by two exact ratios,
 
     r1(n) = (4 p(n) + 5 r(n)) / (4 p(n) + 4 d(n))   -- assignments
     r2(n) = (p(n) + 4 r(n)) / (p(n) + 3 d(n))       -- boolean evals
 
-computed from exact integer counts (no floating arithmetic on the counts
-themselves).  `r1_exact`/`r2_exact` return them as `Fraction`s.
+each held in one form only: the (numerator, denominator) pair of the two
+integer counts, unreduced, which `_ratio_pairs` reads off `_formulas`.
 `format_ratio(a, b)` rounds a / b to 5 decimals, half to even, by integer
 division, so every printed ratio is exact by construction.  `ratio_csv` and
 `ratio_table` read p, d and r for their whole range from
-`CountContext.closed_forms`.  `ratio_table` compares on the integer counts: a
-ratio lies in (0, 1) when 0 < numerator < denominator, and each argmin is
-found by integer cross-multiplication (ties keep the first n).  Its floats
-are numerator / denominator, which int division rounds correctly, so each
-equals float() of the `Fraction`.
+`CountContext.closed_forms`, and `bench.bench_table` reads `_predicted` at
+each of its n.  `ratio_table` compares the pairs: a ratio lies in (0, 1)
+when 0 < numerator < denominator, and each argmin is found by integer
+cross-multiplication (ties keep the first n).
 
 The records `CountCheck`, `RatioRecord` and `RatioScan` live in `counters`,
 and each is imported by the function that builds it, as is `generate`'s
@@ -54,29 +52,17 @@ def _predicted(n, ctx):
     return _formulas(ctx.partition_count(n), ctx.p2_closed(n), ctx.p3_closed(n))
 
 
-def _ratios(n, ctx):
-    """(r1, r2) at n as `Fraction`s; imported here, so `ratios` and `verify` never load it."""
-    from fractions import Fraction
-
-    counts = _predicted(n, ctx)
-    return tuple(map(Fraction, counts[3], counts[2]))
+def _ratio_pairs(counts):
+    """(r1, r2) of one `_formulas` result, each gen_v3's count over gen_v2's as a pair."""
+    (a2, b2), (a3, b3) = counts[2], counts[3]
+    return (a3, a2), (b3, b2)
 
 
-def _counts(n_max, ctx):
-    """Check n_max, then iterate (n, gen_v2 counts, gen_v3 counts) for 2 <= n <= n_max."""
+def _ratio_rows(n_max, ctx):
+    """Check n_max, then iterate (n, r1, r2) of `_ratio_pairs` for 2 <= n <= n_max."""
     require_at_least(n_max, 2, "n_max")
     p, d, r = ctx.closed_forms(n_max)
-    return ((n, f[2], f[3]) for n, f in enumerate(map(_formulas, p[2:], d[2:], r[2:]), 2))
-
-
-def r1_exact(n: int, ctx: CountContext) -> Fraction:
-    """Assignment-count ratio of gen_v3 to gen_v2, as an exact rational."""
-    return _ratios(n, ctx)[0]
-
-
-def r2_exact(n: int, ctx: CountContext) -> Fraction:
-    """Boolean-evaluation-count ratio of gen_v3 to gen_v2, exact."""
-    return _ratios(n, ctx)[1]
+    return ((n, *_ratio_pairs(f)) for n, f in enumerate(map(_formulas, p[2:], d[2:], r[2:]), 2))
 
 
 def format_ratio(numerator: int, denominator: int) -> str:
@@ -101,12 +87,13 @@ def verify_counts(n: int, ctx: CountContext, alg: int) -> CountCheck:
                       expected_visits=ctx.partition_count(n), actual_visits=ops.visits)
 
 
-# perfbench/probe.py imports these two by name, so they stay.
 def verify_v2_counts(n: int, ctx: CountContext) -> CountCheck:
+    """`verify_counts` for gen_v2; `perfbench/probe.py` imports it by name."""
     return verify_counts(n, ctx, 2)
 
 
 def verify_v3_counts(n: int, ctx: CountContext) -> CountCheck:
+    """`verify_counts` for gen_v3; `perfbench/probe.py` imports it by name."""
     return verify_counts(n, ctx, 3)
 
 
@@ -116,17 +103,17 @@ def ratio_table(n_max: int, ctx: CountContext) -> RatioScan:
 
     records = []
     violations = []
-    # each best is (numerator, denominator); 1 / 0 stands for +infinity
+    # each best is a (numerator, denominator) pair; 1 / 0 stands for +infinity
     best1 = best2 = (1, 0)
     argmin1 = argmin2 = 2
-    for n, (a2, b2), (a3, b3) in _counts(n_max, ctx):
-        if not (0 < a3 < a2 and 0 < b3 < b2):
+    for n, r1, r2 in _ratio_rows(n_max, ctx):
+        if not (0 < r1[0] < r1[1] and 0 < r2[0] < r2[1]):
             violations.append(n)
-        if a3 * best1[1] < best1[0] * a2:
-            best1, argmin1 = (a3, a2), n
-        if b3 * best2[1] < best2[0] * b2:
-            best2, argmin2 = (b3, b2), n
-        records.append(RatioRecord(n=n, r1=a3 / a2, r2=b3 / b2))
+        if r1[0] * best1[1] < best1[0] * r1[1]:
+            best1, argmin1 = r1, n
+        if r2[0] * best2[1] < best2[0] * r2[1]:
+            best2, argmin2 = r2, n
+        records.append(RatioRecord(n=n, r1=r1, r2=r2))
     return RatioScan(records=records, argmin_r1=argmin1, argmin_r2=argmin2,
                      range_violations=violations)
 
@@ -143,6 +130,6 @@ def budget_violations(ctx: CountContext, n_max: int) -> list[int]:
 
 def ratio_csv(n_max: int, ctx: CountContext):
     """The lines of the CSV n,r1,r2, made as they are read; n_max is checked at the call."""
-    rows = _counts(n_max, ctx)
-    return chain(["n,r1,r2\n"], (f"{n},{format_ratio(a3, a2)},{format_ratio(b3, b2)}\n"
-                                 for n, (a2, b2), (a3, b3) in rows))
+    rows = _ratio_rows(n_max, ctx)
+    return chain(["n,r1,r2\n"], (f"{n},{format_ratio(*r1)},{format_ratio(*r2)}\n"
+                                 for n, r1, r2 in rows))

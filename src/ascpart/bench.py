@@ -4,8 +4,10 @@ Timing runs use the uninstrumented generators with a checksum consumer (an
 order-sensitive 64-bit rolling hash of the visited compositions) so the
 work stays observable but nothing is printed.  Measured ratios depend
 heavily on the interpreter and the machine; they are reported, never
-asserted.  The theoretical r1/r2 columns from `analysis` ride along in the
-CSV for comparison.
+asserted.  The theoretical r1/r2 columns ride along in the CSV for
+comparison: `analysis._ratio_pairs` of `analysis._predicted` at each n, an
+exact (numerator, denominator) pair that `write_bench_csv` formats with
+`analysis.format_ratio`, as it does the measured (t1, t2).
 
 Protocol, single-threaded: each generator of `generate.ALGORITHMS`, in the
 table's order, gets one untimed warmup run and then timed runs: ``reps`` of
@@ -20,11 +22,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice
 from statistics import mean
 
-from .analysis import _ratios, format_ratio
+from .analysis import _predicted, _ratio_pairs, format_ratio
 from .counting import CountContext
 from .errors import require_at_least, require_one_of, require_within
 from .generate import ALGORITHMS, VISIT_CAP
@@ -94,8 +95,8 @@ class BenchRow:
     t1_ns: int  # gen_v3 mean
     t2_ns: int  # gen_v2 mean
     r: float
-    r1: Fraction
-    r2: Fraction
+    r1: tuple[int, int]  # (gen_v3, gen_v2) assignments
+    r2: tuple[int, int]  # (gen_v3, gen_v2) boolean evaluations
 
 
 def bench_table(ns, reps: int, ctx: CountContext | None = None) -> list[BenchRow]:
@@ -110,7 +111,7 @@ def bench_table(ns, reps: int, ctx: CountContext | None = None) -> list[BenchRow
     require_at_least(reps, 1, "reps")
     if ctx is None:
         ctx = CountContext()
-    exact = [(n, *_ratios(n, ctx)) for n in ns]
+    exact = [(n, *_ratio_pairs(_predicted(n, ctx))) for n in ns]
     visits = sum(ctx.partition_count(n) for n, _, _ in exact) * 2 * (len(ALGORITHMS) - 1 + reps)
     require_within(visits, VISIT_CAP, "visit", "visits")
     rows = []
@@ -128,6 +129,6 @@ def write_bench_csv(rows, fileobj) -> None:
     """CSV with header n,t1_ns,t2_ns,r,r1,r2; times in integer nanoseconds."""
     fileobj.write("n,t1_ns,t2_ns,r,r1,r2\n")
     for row in rows:
-        pairs = (row.t1_ns, row.t2_ns), row.r1.as_integer_ratio(), row.r2.as_integer_ratio()
+        pairs = (row.t1_ns, row.t2_ns), row.r1, row.r2
         fileobj.write(f"{row.n},{row.t1_ns},{row.t2_ns},"
                       + ",".join(format_ratio(*pair) for pair in pairs) + "\n")

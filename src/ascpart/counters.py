@@ -7,7 +7,8 @@ a command that builds none of them never loads `dataclasses` (nor the
 counted generators, `InequalityReport` by `CountContext.check_inequalities`,
 `CountCheck` by `analysis.verify_counts`, and `RatioRecord` and `RatioScan`
 by `analysis.ratio_table`.  Only `traversal`, which defines a record of its
-own, imports `OpCounters` when it loads.
+own, imports `OpCounters` when it loads.  A `RatioRecord` holds r1 and r2 as
+`analysis` does, each an exact (numerator, denominator) pair of counts.
 
 The counting convention of `OpCounters`, used consistently by `traversal` and
 `generate`: each executed assignment line counts once (a line assigning a pair
@@ -71,9 +72,11 @@ class CountCheck:
 
 @dataclass(frozen=True)
 class RatioRecord:
+    """r1 and r2 at n, each a (numerator, denominator) pair of integer counts."""
+
     n: int
-    r1: float
-    r2: float
+    r1: tuple[int, int]
+    r2: tuple[int, int]
 
 
 @dataclass(frozen=True)

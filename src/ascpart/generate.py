@@ -10,9 +10,10 @@ live buffer and a length::
         parts = a[1:length + 1]   # valid only during this call; do not keep a
 
 The buffer is reused between visits, so a consumer must copy what it wants
-to retain.  Index 0 of the buffer is a permanent 0 sentinel: the final
-``x = a[k] + 1`` of a round executes once with k = 0, and the sentinel makes
-that read defined (the loop then exits).
+to retain: ``out.append(tuple(a[1:length + 1]))`` keeps the whole stream.
+Index 0 of the buffer is a permanent 0 sentinel: the final ``x = a[k] + 1``
+of a round executes once with k = 0, and the sentinel makes that read
+defined (the loop then exits).
 
 * `gen_v1` keeps an explicit continue flag and re-derives the parent from
   the array when backtracking.
@@ -49,15 +50,11 @@ undistorted.
 
 from __future__ import annotations
 
-from .errors import require_at_least, require_one_of, require_within
+from .errors import require_at_least
 
 # The counted variants import `blockprofile` when called, which loads ast and
 # inspect, and its `tally` imports OpCounters, named in their annotations:
 # the plain generators load none of them.
-
-# Collector guard: materializing all compositions is for tests and small
-# demos only (p(45) = 89134 already).
-COLLECT_CAP = 45
 
 # Visit guard of `bench.bench_table` and `checks.battery`: at a few hundred
 # ns per visit, 10**9 visits is several minutes of bench or verify.
@@ -216,17 +213,3 @@ def gen_v3_counted(n: int) -> OpCounters:
 # One key per generator; `analysis._predicted` holds a formula for each COUNTED key.
 ALGORITHMS = {1: gen_v1, 2: gen_v2, 3: gen_v3}
 COUNTED = {2: gen_v2_counted, 3: gen_v3_counted}
-
-
-def collect_compositions(n: int, alg: int = 3) -> list[tuple[int, ...]]:
-    """Materialize all ascending compositions of n (guarded; tests/demos only)."""
-    require_one_of(alg, ALGORITHMS, "alg")
-    require_at_least(n, 1)
-    require_within(n, COLLECT_CAP, "collector")
-    out = []
-
-    def consumer(a, length):
-        out.append(tuple(a[1:length + 1]))
-
-    ALGORITHMS[alg](n, consumer)
-    return out

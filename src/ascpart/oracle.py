@@ -1,13 +1,13 @@
 """Deliberately naive brute-force reference used to validate everything else.
 
 Enumerates ascending compositions by direct recursion (first part from the
-minimum upward, recurse on the remainder) and counts by filtering the
-materialized list.  The recursion only tries parts up to half of what
-remains, then ends the composition with the whole remainder: any other part
-above the half would leave a remainder smaller than itself, which no
-ascending continuation can fill, so those calls would all be dead ends.
-Otherwise no cleverness on purpose; capacity is guarded because the lists
-grow like p(n).
+minimum upward, recurse on the remainder); a caller counts by filtering its
+items with `has_ratio_property`.  The recursion only tries parts up to half
+of what remains, then ends the composition with the whole remainder: any
+other part above the half would leave a remainder smaller than itself,
+which no ascending continuation can fill, so those calls would all be dead
+ends.  Otherwise no cleverness on purpose; capacity is guarded because the
+lists grow like p(n).
 
 The recursion writes the compositions, in lexicographic order, into one
 ``bytes`` stream, each as a 0 byte and then its parts, one byte a part,
@@ -16,8 +16,9 @@ most ``ORACLE_CAP`` = 60, so a byte holds any of them, and parts are at
 least 1, so 0 is free to mark where each composition starts; a length, like
 a part, is at most 60.  At n = 45 the stream takes 1.2 MiB and the lengths
 87 KiB, with no per-composition object.  Splitting the stream at its 0
-bytes gives each composition as ``bytes``, which `brute_ratio_count` reads,
-and `brute_compositions` turns each of those into a tuple.
+bytes gives each composition as ``bytes``, which `has_ratio_property` reads
+as it does a tuple, and `brute_compositions` turns each of those into a
+tuple.
 
 The recursion's first branch, part 1, recurses on n - 1 with minimum 1, and
 the rest are the compositions with parts >= 2, so ``brute_stream(n)`` is
@@ -86,10 +87,3 @@ def has_ratio_property(parts, t: int) -> bool:
     unconditionally.
     """
     return len(parts) < 2 or parts[-1] >= t * parts[-2]
-
-
-def brute_ratio_count(n: int, m: int, t: int) -> int:
-    """Count of brute_compositions(n, m) entries with the ratio property."""
-    require_at_least(t, 1, "ratio factor")
-    items = brute_stream(n, m)[0].split(b"\x00")[1:]
-    return sum(1 for c in items if has_ratio_property(c, t))

@@ -22,8 +22,6 @@ from ascpart import (
     inorder_v1,
     inorder_v2,
     iter_root_to_leaf_paths,
-    r1_exact,
-    r2_exact,
     ratio_table,
     write_bench_csv,
 )
@@ -31,7 +29,7 @@ from ascpart import checks
 from ascpart.counting import _fill_column
 from ascpart.oracle import brute_compositions, brute_stream, has_ratio_property
 
-from test_analysis import REFERENCE_RATIOS
+from test_analysis import REFERENCE_RATIOS, predicted_pairs
 
 
 def _report(label, detail="PASS"):
@@ -148,7 +146,8 @@ def test_criterion_07_v3_operation_counts(ctx):
 
 def test_criterion_08_reference_ratio_rows(ctx):
     for n, (want1, want2) in REFERENCE_RATIOS.items():
-        got1, got2 = float(r1_exact(n, ctx)), float(r2_exact(n, ctx))
+        (a1, b1), (a2, b2) = predicted_pairs(n, ctx)
+        got1, got2 = a1 / b1, a2 / b2
         assert abs(got1 - want1) < 2e-5, (n, got1, want1)
         assert abs(got2 - want2) < 2e-5, (n, got2, want2)
     _report("8 (all 12 reference ratio rows within 2e-5)")
@@ -191,10 +190,9 @@ def test_criterion_11_benchmark_harness(ctx):
     rows = bench_table(ns, reps=3, ctx=ctx)  # raises on checksum mismatch
     assert [row.n for row in rows] == ns
     for row in rows:
-        assert row.r1 == r1_exact(row.n, ctx)
-        assert row.r2 == r2_exact(row.n, ctx)
-        assert abs(float(row.r1) - REFERENCE_RATIOS[row.n][0]) < 2e-5
-        assert abs(float(row.r2) - REFERENCE_RATIOS[row.n][1]) < 2e-5
+        assert (row.r1, row.r2) == predicted_pairs(row.n, ctx)
+        assert abs(row.r1[0] / row.r1[1] - REFERENCE_RATIOS[row.n][0]) < 2e-5
+        assert abs(row.r2[0] / row.r2[1] - REFERENCE_RATIOS[row.n][1]) < 2e-5
     buf = io.StringIO()
     write_bench_csv(rows, buf)
     lines = buf.getvalue().splitlines()

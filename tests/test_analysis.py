@@ -2,16 +2,12 @@
 
 from fractions import Fraction
 
-import pytest
-
 from ascpart import (
     ALGORITHMS,
     COUNTED,
     DEFAULT_CAP,
     budget_violations,
     format_ratio,
-    r1_exact,
-    r2_exact,
     ratio_csv,
     ratio_table,
     verify_counts,
@@ -38,10 +34,11 @@ REFERENCE_RATIOS = {
 }
 
 
-def test_ratios_are_exact_rationals(ctx):
-    assert r1_exact(20, ctx) == Fraction(3113, 3476)
-    assert r2_exact(20, ctx) == Fraction(1111, 1353)
-    assert r2_exact(5, ctx) == 1  # both operation counts coincide at n = 5
+def predicted_pairs(n, ctx):
+    """(r1, r2) at n, each gen_v3's predicted count over gen_v2's, unreduced."""
+    counts = _predicted(n, ctx)
+    (a2, b2), (a3, b3) = counts[2], counts[3]
+    return (a3, a2), (b3, b2)
 
 
 def test_format_ratio():
@@ -89,17 +86,19 @@ def test_ratio_table_scan(ctx):
     # gen_v3 is not cheaper at n = 2, and ties on bool evals at n = 5
     assert scan.range_violations == [2, 5]
     assert 50 <= scan.argmin_r2 <= 150
-    by_n = {rec.n: rec for rec in scan.records}
-    assert by_n[20].r1 == pytest.approx(float(Fraction(3113, 3476)))
 
 
 def test_ratio_table_is_exact(ctx):
-    # ratio_table compares integer counts; here every value is checked against
-    # the Fractions, and the argmins and the range test are redone with them
+    # ratio_table holds each ratio as the pair of its predicted counts and
+    # compares pairs by cross-multiplication; here every pair is checked, and
+    # the argmins and the range test are redone with Fractions
     scan = ratio_table(DEFAULT_CAP, ctx)
-    exact = {n: (r1_exact(n, ctx), r2_exact(n, ctx)) for n in range(2, DEFAULT_CAP + 1)}
+    pairs = {n: predicted_pairs(n, ctx) for n in range(2, DEFAULT_CAP + 1)}
     assert [(rec.n, rec.r1, rec.r2) for rec in scan.records] == [
-        (n, float(f1), float(f2)) for n, (f1, f2) in exact.items()]
+        (n, r1, r2) for n, (r1, r2) in pairs.items()]
+    assert pairs[20] == ((3113, 3476), (1111, 1353))
+    exact = {n: (Fraction(*r1), Fraction(*r2)) for n, (r1, r2) in pairs.items()}
+    assert exact[5][1] == 1  # both operation counts coincide at n = 5
     # min keeps the first n on ties, as the scan does
     assert scan.argmin_r1 == min(exact, key=lambda n: exact[n][0])
     assert scan.argmin_r2 == min(exact, key=lambda n: exact[n][1])
@@ -119,17 +118,19 @@ def test_write_ratio_csv(ctx):
     assert lines[1] == "2,1.08333,1.20000"
     n, one, two = lines[-1].split(",")
     assert n == "6"
-    assert one == format_ratio(*r1_exact(6, ctx).as_integer_ratio())
-    assert two == format_ratio(*r2_exact(6, ctx).as_integer_ratio())
+    r1, r2 = predicted_pairs(6, ctx)
+    assert one == format_ratio(*r1)
+    assert two == format_ratio(*r2)
 
 
 def test_ratio_csv_rounds_as_the_exact_ratios(ctx):
-    # format_ratio rounds the integer counts; the reference rounds each exact
-    # Fraction the way perfbench/reference.py does, up to the cap
-    def five_decimals(value):
-        scaled = round(value * 100000)  # Fraction rounds half to even
+    # format_ratio rounds the integer counts; the reference rounds the
+    # Fraction of each predicted pair the way perfbench/reference.py does,
+    # up to the cap
+    def five_decimals(pair):
+        scaled = round(Fraction(*pair) * 100000)  # Fraction rounds half to even
         return f"{scaled // 100000}.{scaled % 100000:05d}"
 
     assert "".join(ratio_csv(DEFAULT_CAP, ctx)).splitlines() == ["n,r1,r2"] + [
-        f"{n},{five_decimals(r1_exact(n, ctx))},{five_decimals(r2_exact(n, ctx))}"
+        f"{n}," + ",".join(map(five_decimals, predicted_pairs(n, ctx)))
         for n in range(2, DEFAULT_CAP + 1)]

@@ -11,13 +11,13 @@ from ascpart import (
     CapacityError,
     DomainError,
     bench_table,
-    r1_exact,
-    r2_exact,
     time_algorithm,
     write_bench_csv,
 )
 from ascpart import bench
 from ascpart.bench import _Checksum
+
+from test_analysis import predicted_pairs
 
 
 def test_record_shape():
@@ -58,8 +58,7 @@ def test_bench_table(ctx):
     for row in rows:
         assert row.t1_ns > 0 and row.t2_ns > 0
         assert row.r == pytest.approx(row.t1_ns / row.t2_ns)
-        assert row.r1 == r1_exact(row.n, ctx)
-        assert row.r2 == r2_exact(row.n, ctx)
+        assert (row.r1, row.r2) == predicted_pairs(row.n, ctx)
 
 
 def test_bench_csv_format(ctx):

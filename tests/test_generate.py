@@ -5,7 +5,6 @@ import pytest
 from ascpart import (
     ALGORITHMS,
     COUNTED,
-    collect_compositions,
     gen_v1,
     gen_v2,
     gen_v2_counted,
@@ -13,17 +12,6 @@ from ascpart import (
     gen_v3_counted,
 )
 from ascpart.blockprofile import profile, tally
-
-
-def test_four_by_hand():
-    want = [(1, 1, 1, 1), (1, 1, 2), (1, 3), (2, 2), (4,)]
-    for alg in (1, 2, 3):
-        assert collect_compositions(4, alg) == want
-
-
-def test_one_by_hand():
-    for alg in (1, 2, 3):
-        assert collect_compositions(1, alg) == [(1,)]
 
 
 @pytest.mark.parametrize("gen", [gen_v1, gen_v2, gen_v3])

@@ -14,17 +14,16 @@ from ascpart import (
     DomainError,
     build_partition_tree,
     build_strict_tree,
-    collect_compositions,
     gen_v1,
     gen_v2,
     gen_v2_counted,
     gen_v3,
     gen_v3_counted,
 )
-from ascpart.analysis import budget_violations, r1_exact, r2_exact, ratio_table, verify_counts
+from ascpart.analysis import budget_violations, ratio_table, verify_counts
 from ascpart.bench import bench_table, time_algorithm
 from ascpart.checks import battery
-from ascpart.oracle import brute_compositions, brute_ratio_count, brute_stream
+from ascpart.oracle import brute_compositions, brute_stream
 from ascpart.render import render_v3
 from ascpart.traversal import inorder_generic, inorder_v1, inorder_v2
 
@@ -62,11 +61,6 @@ GUARDS = [
      "limit must be >= 0, got -1"),
     ("render_v3-n-first", lambda: next(render_v3(0, True, -1)), DomainError,
      "n must be >= 1, got 0"),
-    ("collect-n", lambda: collect_compositions(0), DomainError, "n must be >= 1, got 0"),
-    ("collect-cap", lambda: collect_compositions(46), CapacityError,
-     "n=46 exceeds the collector cap 45"),
-    ("collect-alg", lambda: collect_compositions(5, 7), DomainError,
-     "alg must be one of [1, 2, 3], got 7"),
     # oracle
     ("brute-n", lambda: brute_compositions(0), DomainError, "n must be >= 1, got 0"),
     ("brute-m", lambda: brute_compositions(5, 0), DomainError,
@@ -79,10 +73,6 @@ GUARDS = [
     ("brute_stream-m", lambda: brute_stream(5, 0), DomainError,
      "minimum part must be >= 1, got 0"),
     ("brute_stream-cap", lambda: brute_stream(61), CapacityError,
-     "n=61 exceeds the brute-force cap 60"),
-    ("brute_ratio-t", lambda: brute_ratio_count(5, 1, 0), DomainError,
-     "ratio factor must be >= 1, got 0"),
-    ("brute_ratio-cap", lambda: brute_ratio_count(61, 1, 2), CapacityError,
      "n=61 exceeds the brute-force cap 60"),
     # trees and traversals
     ("partition_tree-n", lambda: build_partition_tree(0), DomainError, "n must be >= 1, got 0"),
@@ -156,8 +146,6 @@ GUARDS = [
     ("closed_forms-cap", _ctx("closed_forms", 5001), CapacityError,
      "n=5001 exceeds the count cap 5000"),
     # analysis and bench
-    ("r1_exact", lambda: r1_exact(1, CountContext()), DomainError, "n must be >= 2, got 1"),
-    ("r2_exact", lambda: r2_exact(0, CountContext()), DomainError, "n must be >= 2, got 0"),
     ("verify_counts-alg", lambda: verify_counts(10, CountContext(), 1), DomainError,
      "alg must be one of [2, 3], got 1"),
     ("verify_counts-n", lambda: verify_counts(1, CountContext(), 2), DomainError,

@@ -58,7 +58,7 @@ COMMANDS = {
     "count": (["count", "5"], {"counting"}, UNUSED_BY_COUNTS),
     "count-ratio": (["count", "5", "--ratio-t", "3"], {"counting"}, UNUSED_BY_COUNTS),
     "ratios": (["ratios", "--max-n", "5"], {"analysis", "counting"}, UNUSED_BY_COUNTS),
-    # format_ratio works on integer pairs; only r1_exact/r2_exact load Fraction
+    # every ratio is an integer pair, so no command loads rationals
     "verify": (["verify", "--max-n", "4"],
                {"analysis", "blockprofile", "checks", "counters", "counting", "generate", "oracle",
                 "ptree"},
@@ -95,6 +95,21 @@ def test_command_modules_import_no_dataclasses_at_load():
         assert "dataclasses" not in imports, name
 
 
+def test_no_module_imports_fractions():
+    # r1 and r2 are (numerator, denominator) integer pairs throughout, so no
+    # module imports fractions, at load or inside a function body
+    package = Path(ascpart.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            assert "fractions" not in {name.split(".")[0] for name in names}, path.name
+
+
 def test_records_are_the_exported_classes():
     from ascpart.analysis import ratio_table, verify_counts
     from ascpart.counting import CountContext
@@ -106,6 +121,10 @@ def test_records_are_the_exported_classes():
     assert type(scan) is ascpart.RatioScan
     assert {type(record) for record in scan.records} == {ascpart.RatioRecord}
     assert ascpart.RatioRecord is ascpart.counters.RatioRecord
+    # r1 and r2 are the (numerator, denominator) pairs of the counts
+    assert (scan.records[0].n, scan.records[0].r1, scan.records[0].r2) == (2, (13, 12), (6, 5))
+    assert {type(value) for record in scan.records
+            for value in (*record.r1, *record.r2)} == {int}
 
 
 def test_public_names_are_their_submodules():
