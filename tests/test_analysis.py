@@ -41,6 +41,13 @@ def predicted_pairs(n, ctx):
     return (a3, a2), (b3, b2)
 
 
+def test_ratios_are_exact_rationals(ctx):
+    by_n = {rec.n: rec for rec in ratio_table(20, ctx).records}
+    assert by_n[20].r1 == (3113, 3476)
+    assert by_n[20].r2 == (1111, 1353)
+    assert by_n[5].r2[0] == by_n[5].r2[1]  # both operation counts coincide at n = 5
+
+
 def test_format_ratio():
     assert format_ratio(1, 3) == "0.33333"
     assert format_ratio(2, 3) == "0.66667"
@@ -96,9 +103,7 @@ def test_ratio_table_is_exact(ctx):
     pairs = {n: predicted_pairs(n, ctx) for n in range(2, DEFAULT_CAP + 1)}
     assert [(rec.n, rec.r1, rec.r2) for rec in scan.records] == [
         (n, r1, r2) for n, (r1, r2) in pairs.items()]
-    assert pairs[20] == ((3113, 3476), (1111, 1353))
     exact = {n: (Fraction(*r1), Fraction(*r2)) for n, (r1, r2) in pairs.items()}
-    assert exact[5][1] == 1  # both operation counts coincide at n = 5
     # min keeps the first n on ties, as the scan does
     assert scan.argmin_r1 == min(exact, key=lambda n: exact[n][0])
     assert scan.argmin_r2 == min(exact, key=lambda n: exact[n][1])
