@@ -11,18 +11,16 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from itertools import zip_longest
-from operator import length_hint
+from operator import attrgetter, length_hint
 
 from .analysis import verify_counts
 from .counting import _fill_column
 from .errors import require_at_least, require_within
 from .generate import ALGORITHMS, COUNTED, VISIT_CAP
-from .oracle import brute_stream
+from .oracle import brute_streams
 from .ptree import build_partition_tree, build_strict_tree
 
-
-# Each byte one more: the lengths of the compositions of n - 1 once a 1 is put in front.
-_ONE_MORE = bytes.maketrans(bytes(range(255)), bytes(range(1, 256)))
+_SHAPE = attrgetter("node_count", "leaf_count")
 
 
 @dataclass(frozen=True)
@@ -94,27 +92,13 @@ def _oracle_divergence(n, ctx, stream, lengths):
 def generation(ctx, n_max):
     """Every generator's stream is the oracle's, in order, with its count.
 
-    One oracle stream and its lengths, as `oracle.brute_stream` writes them,
-    are grown from n - 1 to n, each by ``bytes`` calls in C with no Python
-    loop over the compositions.  They set the peak at n = 45, where the
-    stream for n = 44 with the parts >= 2 appended, 1.15 MB, and the stream
-    for n = 45, 1.23 MB, are held together for a moment: 2.48 MB as
-    tracemalloc counts the whole check.
+    No name is bound to a stream from `oracle.brute_streams`, so the growth's
+    two streams at n = 45 set the peak: 2.48 MB, as tracemalloc counts it.
     """
     name = f"generation vs brute force (n <= {n_max})"
-    stream = lengths = b"\x00"  # the empty composition of 0
+    streams = brute_streams(n_max)
     for n in range(1, n_max + 1):
-        # brute_stream(n) is the oracle's own first branch, brute_stream(n - 1)
-        # with a 1 after each separator and each length one more, then the
-        # parts >= 2.  The tail goes on first, and only the first p(n - 1)
-        # separators get a 1, so that neither the old stream nor the tail is
-        # held beside the new one.
-        tail, tail_lengths = brute_stream(n, 2)
-        stream += tail
-        del tail
-        stream = stream.replace(b"\x00", b"\x00\x01", len(lengths))
-        lengths = lengths.translate(_ONE_MORE) + tail_lengths
-        detail = _oracle_divergence(n, ctx, stream, lengths)
+        detail = _oracle_divergence(n, ctx, *next(streams))
         if detail:
             return CheckResult(name, False, detail)
     return CheckResult(name, True)
@@ -167,15 +151,13 @@ def op_counts(ctx, n_max):
 
 
 def trees(ctx, n_max):
-    """The trees have 2p(n) and 2p(n) - 1 nodes, and p(n) leaves."""
+    """The trees have 2p(n) and 2p(n) - 1 nodes, and p(n) leaves; one is held at a time."""
     bad = []
     for n in range(1, n_max + 1):
         p = ctx.partition_count(n)
-        pt = build_partition_tree(n)
-        bt = build_strict_tree(n)
-        if (pt.node_count, pt.leaf_count) != (2 * p, p):
+        if _SHAPE(build_partition_tree(n)) != (2 * p, p):
             bad.append(f"partition tree of {n}")
-        if (bt.node_count, bt.leaf_count) != (2 * p - 1, p):
+        if _SHAPE(build_strict_tree(n)) != (2 * p - 1, p):
             bad.append(f"binary tree of {n}")
     return _result(f"tree identities (n <= {n_max})", bad)
 

@@ -22,12 +22,10 @@ tuple.
 
 The recursion's first branch, part 1, recurses on n - 1 with minimum 1, and
 the rest are the compositions with parts >= 2, so ``brute_stream(n)`` is
-``brute_stream(n - 1)``'s stream with each ``b"\\x00"`` replaced by
-``b"\\x00\\x01"``, then ``brute_stream(n, 2)``'s, and its lengths are the
-lengths one more, then ``brute_stream(n, 2)``'s, starting from ``b"\\x00"``
-for both.  `checks.generation` relies on it to grow one stream from n - 1 to
-n instead of building each anew; `tests/test_oracle.py` checks it for
-n <= 45.
+``brute_stream(n - 1)`` with a 1 after each 0 byte and each length one
+more, then ``brute_stream(n, 2)``.  `brute_streams` grows the oracle so from
+n - 1 to n, in C with no Python loop over the compositions, for a caller
+that needs it at every n, as `checks.generation` does.
 """
 
 from __future__ import annotations
@@ -59,10 +57,8 @@ def _extend(stream, lengths, parts, remaining, lo):
 def brute_stream(n: int, m: int = 1) -> tuple[bytes, bytes]:
     """The ascending compositions of n with parts >= m, in lexicographic order.
 
-    Returns (stream, lengths).  The stream holds each composition as a 0
-    byte and then its parts, one byte a part, and ``lengths`` holds each
-    one's number of parts, one byte a composition.  Both are written
-    straight into a ``bytearray``.
+    Returns (stream, lengths), each composition a 0 byte then its parts and
+    each one's number of parts, both written straight into a ``bytearray``.
     """
     require_at_least(m, 1, "minimum part")
     require_at_least(n, 1)
@@ -71,6 +67,28 @@ def brute_stream(n: int, m: int = 1) -> tuple[bytes, bytes]:
     if n >= m:
         _extend(stream, lengths, _BYTES[0], n, m)
     return bytes(stream), bytes(lengths)
+
+
+def brute_streams(n_max: int):
+    """Iterate ``brute_stream(n)`` for n = 1, ..., n_max; n_max is checked at the call.
+
+    The tail goes on first and only the first p(n - 1) zeros get a 1, so a
+    caller holding no yielded stream while it takes the next holds two at most.
+    """
+    require_within(n_max, ORACLE_CAP, "brute-force", "n_max")
+    return _grown_streams(n_max)
+
+
+def _grown_streams(n_max):
+    stream = lengths = b"\x00"  # the empty composition of 0
+    one_more = bytes.maketrans(bytes(range(255)), bytes(range(1, 256)))  # each length + 1
+    for n in range(1, n_max + 1):
+        tail, tail_lengths = brute_stream(n, 2)
+        stream += tail
+        del tail
+        stream = stream.replace(b"\x00", b"\x00\x01", len(lengths))
+        lengths = lengths.translate(one_more) + tail_lengths
+        yield stream, lengths
 
 
 def brute_compositions(n: int, m: int = 1) -> list[tuple[int, ...]]:

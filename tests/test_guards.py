@@ -23,7 +23,7 @@ from ascpart import (
 from ascpart.analysis import budget_violations, ratio_table, verify_counts
 from ascpart.bench import bench_table, time_algorithm
 from ascpart.checks import battery
-from ascpart.oracle import brute_compositions, brute_stream
+from ascpart.oracle import brute_compositions, brute_stream, brute_streams
 from ascpart.render import render_v3
 from ascpart.traversal import inorder_generic, inorder_v1, inorder_v2
 
@@ -74,6 +74,8 @@ GUARDS = [
      "minimum part must be >= 1, got 0"),
     ("brute_stream-cap", lambda: brute_stream(61), CapacityError,
      "n=61 exceeds the brute-force cap 60"),
+    ("brute_streams-cap", lambda: brute_streams(61), CapacityError,
+     "n_max=61 exceeds the brute-force cap 60"),
     # trees and traversals
     ("partition_tree-n", lambda: build_partition_tree(0), DomainError, "n must be >= 1, got 0"),
     ("partition_tree-cap", lambda: build_partition_tree(41), CapacityError,

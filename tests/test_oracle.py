@@ -6,7 +6,7 @@ from itertools import combinations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ascpart.oracle import brute_compositions, brute_stream, has_ratio_property
+from ascpart.oracle import brute_compositions, brute_stream, brute_streams, has_ratio_property
 
 
 def test_compositions_of_four():
@@ -63,18 +63,7 @@ def test_lengths_are_the_stream_items_lengths():
 
 
 def test_each_stream_grows_from_the_one_before():
-    # the first branch as a stream: a 1 after each separator and each length
-    # one more, then the parts >= 2; checks.generation appends the tail
-    # first and puts a 1 after the first p(n - 1) separators only
-    stream = lengths = b"\x00"  # the empty composition of 0
-    one_more = bytes.maketrans(bytes(range(255)), bytes(range(1, 256)))
-    for n in range(1, 46):
-        tail, tail_lengths = brute_stream(n, 2)
-        want = brute_stream(n)
-        assert stream.replace(b"\x00", b"\x00\x01") + tail == want[0], n
-        stream = (stream + tail).replace(b"\x00", b"\x00\x01", len(lengths))
-        lengths = lengths.translate(one_more) + tail_lengths
-        assert (stream, lengths) == want, n
+    assert list(brute_streams(45)) == [brute_stream(n) for n in range(1, 46)]
 
 
 def test_returned_list_is_freed_without_the_cycle_collector():
